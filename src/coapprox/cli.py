@@ -21,7 +21,6 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .coapproximation import (
     bj_orthogonal,
@@ -35,7 +34,13 @@ from .coapproximation import (
     solve_best_coapprox,
 )
 from .errors import BudgetExceeded, CoapproxError
-from .l1 import l1_best_coapprox, l1_is_anti_coproximinal, minimal_norming_set, zero_set
+from .l1 import (
+    cell_bound,
+    l1_best_coapprox,
+    l1_is_anti_coproximinal,
+    minimal_norming_set,
+    zero_set,
+)
 from .linf import linf_classify, star_property
 from .polytope import face_census
 from .spaces import (
@@ -51,6 +56,7 @@ from .subspaces import (
     Subspace,
     jy_set,
     jy_set_via_faces,
+    require_coordinates,
     smooth_dense_in,
     subspace,
 )
@@ -279,8 +285,7 @@ def _cmd_eps_check(req: Request) -> dict:
     space, y = req.need_space(), req.need_subspace()
     x, y0 = req.need_point(), req.need_y0()
     if x == y0:
-        # checks y0 membership and reports the trivial exact match
-        assert is_best_coapprox(space, y, x, y0)
+        require_coordinates(y, y0, "y0")
         return {"is_eps_best": True, "epsilon": eps, "defect": Fraction(0)}
     defect = eps_coapprox_defect(space, y, x, y0)
     return {"is_eps_best": defect <= eps, "epsilon": eps, "defect": defect}
@@ -319,7 +324,7 @@ def _classify_l1(req: Request) -> dict:
     basis = req.need_basis()
     m, n = len(basis), len(basis[0])
     anti = l1_is_anti_coproximinal(basis)
-    certificates: dict = {"bound": 2 * sum(comb(n - 1, k) for k in range(m)), "sign_vectors": 2**n}
+    certificates: dict = {"bound": cell_bound(n, m), "sign_vectors": 2**n}
     if anti.status == "no":
         certificates["reason"] = anti.reason
         if anti.witness_x is not None:

@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateQuery,
-    DimensionOutOfRange,
     PointInSubspace,
     BudgetExceeded,
     ZeroVector,
@@ -60,6 +59,7 @@ from .subspaces import (
     induced_ball,
     jy_set_via_faces,
     require_coordinates,
+    require_proper,
     restrict,
     smooth_dense_in,
 )
@@ -262,13 +262,6 @@ class AntiResult:
     witness_y0: Vector | None = None
 
 
-def _check_proper(space: PolyhedralSpace, y: Subspace) -> None:
-    if not 1 < y.dim < space.dim:
-        raise DimensionOutOfRange(
-            f"classification needs 1 < dim Y < dim X, got {y.dim} in {space.dim}"
-        )
-
-
 def is_anti_coproximinal(
     space: PolyhedralSpace, y: Subspace, samples: int = 25, seed: int = 0
 ) -> AntiResult:
@@ -281,7 +274,7 @@ def is_anti_coproximinal(
     Without density, rank deficiency leaves the question open and a seeded
     randomized search looks for witnesses before reporting "undecided".
     """
-    _check_proper(space, y)
+    require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)
     jy_rank = rank(jy.functionals)
     dense = smooth_dense_in(space, y)
@@ -351,7 +344,7 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
     Holds exactly when the norming-functional set is all of the extreme dual
     functionals, i.e. Y meets the interior of every facet of B_X.
     """
-    _check_proper(space, y)
+    require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)
     if jy.size == len(space.dual_extreme):
         return StrongResult(status="yes", jy=jy)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .coapproximation import CoapproxResult, is_strongly_anti_coproximinal
-from .errors import DimensionOutOfRange, NonEmptyZeroSet
+from .errors import NonEmptyZeroSet
 from .linalg import (
     Vector,
     dot,
@@ -33,7 +33,12 @@ from .linalg import (
     vec,
 )
 from .spaces import make_l1
-from .subspaces import Subspace, embed, subspace
+from .subspaces import Subspace, embed, require_proper, subspace
+
+
+def cell_bound(n: int, m: int) -> int:
+    """Most open cells an arrangement of n central hyperplanes in Q^m can have."""
+    return 2 * sum(comb(n - 1, k) for k in range(m))
 
 
 def zero_set(a_rows) -> frozenset[int]:
@@ -133,10 +138,7 @@ def l1_is_anti_coproximinal(a_rows) -> L1AntiResult:
     """
     basis = subspace(a_rows).basis
     m, n = len(basis), len(basis[0])
-    if not 1 < m < n:
-        raise DimensionOutOfRange(
-            f"classification needs 1 < dim Y < n, got {m} in {n}"
-        )
+    require_proper(m, n)
     zeros_found = zero_set(a_rows)
     if zeros_found:
         j = min(zeros_found)
@@ -200,12 +202,9 @@ def l1_never_strongly_anti(a_rows) -> NoStrongReport:
     """Confirm the no-strong verdict for span A against the generic engine."""
     basis = subspace(a_rows).basis
     m, n = len(basis), len(basis[0])
-    if not 1 < m < n:
-        raise DimensionOutOfRange(
-            f"classification needs 1 < dim Y < n, got {m} in {n}"
-        )
+    require_proper(m, n)
     zeros_found = zero_set(a_rows)
-    bound = 2 * sum(comb(n - 1, k) for k in range(m))
+    bound = cell_bound(n, m)
     size: int | None = None
     if not zeros_found:
         size = minimal_norming_set(a_rows).size
@@ -229,6 +228,7 @@ __all__ = [
     "L1AntiResult",
     "NoStrongReport",
     "NormingSet",
+    "cell_bound",
     "l1_best_coapprox",
     "l1_is_anti_coproximinal",
     "l1_never_strongly_anti",

@@ -10,7 +10,6 @@ No floating point enters any code path.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -81,10 +80,6 @@ def neg(u: Vector) -> Vector:
 
 def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
-
-
-def matvec(m: Matrix, x: Vector) -> Vector:
-    return tuple(dot(row, x) for row in m)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -182,12 +177,6 @@ def solve_linear(a: Matrix, b: Vector) -> LinearSolution:
             v[col] = -aug[i][f]
         basis.append(tuple(v))
     return LinearSolution(kind="affine", particular=tuple(particular), nullspace=tuple(basis))
-
-
-def nullspace_basis(a: Matrix) -> Matrix:
-    """Basis of ker A as matrix rows (empty tuple when the kernel is trivial)."""
-    sol = solve_linear(a, zeros(len(a)))
-    return sol.nullspace if sol.kind == "affine" else ()
 
 
 Relation = str  # "<=", "==", ">="
@@ -403,10 +392,6 @@ def strict_feasibility(c: Matrix) -> Feasibility:
     return Feasibility(feasible=False)
 
 
-def independent_rows(m: Matrix) -> bool:
-    return rank(m) == len(m)
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a point collection (-1 for empty)."""
     pts = [vec(p) for p in points]
@@ -419,11 +404,3 @@ def affine_rank(points) -> int:
 def canonical_sorted(vectors) -> tuple[Vector, ...]:
     """Deterministic ordering for sets of rational vectors."""
     return tuple(sorted(vectors))
-
-
-def sign_vectors(n: int) -> tuple[Vector, ...]:
-    """All 2^n vectors with entries in {-1, +1}, in a fixed order."""
-    return tuple(
-        tuple(Fraction(s) for s in signs)
-        for signs in itertools.product((1, -1), repeat=n)
-    )

@@ -21,18 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DependentBasis, DimensionOutOfRange
-from .linalg import (
-    Matrix,
-    Vector,
-    add,
-    is_zero,
-    mat,
-    neg,
-    rank,
-    strict_feasibility,
-    sub,
-)
+from .errors import DimensionOutOfRange
+from .linalg import Vector, add, is_zero, neg, strict_feasibility, sub
+from .subspaces import require_proper, subspace
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,7 @@ class ComponentTable:
 
 def component_table(a_rows) -> ComponentTable:
     """Components and associated sets of an independent family in max norm."""
-    basis = _checked_basis(a_rows)
+    basis = subspace(a_rows).basis
     comps = tuple(zip(*basis, strict=True))
     p_plus = tuple(
         frozenset(j + 1 for j, cj in enumerate(comps) if cj == ci) for ci in comps
@@ -95,6 +86,10 @@ def star_property(a_rows, i: int) -> StarResult:
     table = component_table(a_rows)
     if not 1 <= i <= table.n:
         raise DimensionOutOfRange(f"coordinate {i} outside 1..{table.n}")
+    return _star(table, i)
+
+
+def _star(table: ComponentTable, i: int) -> StarResult:
     ci = table.component(i)
     if is_zero(ci):
         return StarResult(holds=False)
@@ -137,12 +132,8 @@ def linf_classify(a_rows) -> LinfClassification:
     are scanned in order and the first failure is reported.
     """
     table = component_table(a_rows)
-    m = len(table.components[0])
     n = table.n
-    if not 1 < m < n:
-        raise DimensionOutOfRange(
-            f"classification needs 1 < dim Y < n, got {m} in {n}"
-        )
+    require_proper(len(table.components[0]), n)
     stars: list[tuple[int, StarResult]] = []
     for i in range(1, n + 1):
         if table.associated(i) != frozenset({i}):
@@ -157,7 +148,7 @@ def linf_classify(a_rows) -> LinfClassification:
                 ),
                 star_results=tuple(stars),
             )
-        result = star_property(a_rows, i)
+        result = _star(table, i)
         stars.append((i, result))
         if not result.holds:
             return LinfClassification(
@@ -168,15 +159,6 @@ def linf_classify(a_rows) -> LinfClassification:
                 star_results=tuple(stars),
             )
     return LinfClassification(strongly_anti=True, star_results=tuple(stars))
-
-
-def _checked_basis(a_rows) -> Matrix:
-    basis = mat(a_rows)
-    if not basis:
-        raise DependentBasis("a subspace needs at least one basis vector")
-    if rank(basis) != len(basis):
-        raise DependentBasis("basis rows are linearly dependent")
-    return basis
 
 
 __all__ = [

@@ -5,6 +5,8 @@ space with the origin interior to their hull, it returns the irredundant facet
 functionals f of the hull, normalized as {x : <f, x> <= 1}.  Both conversion
 directions reduce to it through bipolar polarity: the vertices of
 {x : <f, x> <= 1 for all f in H} are exactly the facet functionals of conv(H).
+``extreme_subset`` gets both representations of a ball from one such call,
+by keeping the inputs at which the tight facets have full rank.
 
 ``conv_facets`` homogenizes to the cone {(f, t) : <s, f> <= t, t >= 0} and
 enumerates its extreme rays by the double description method: start from a
@@ -160,18 +162,31 @@ def conv_facets(points) -> tuple[Vector, ...]:
     return canonical_sorted(facets)
 
 
-def _extreme_subset(candidates: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """Split deduplicated points into (extreme points of the hull, dropped rest)."""
-    facets = conv_facets(candidates)
-    keep, drop = [], []
-    d = len(candidates[0])
-    for p in candidates:
-        active = tuple(f for f in facets if dot(f, p) == ONE)
-        (keep if rank(active) == d else drop).append(p)
-    return tuple(keep), tuple(drop)
+def extreme_subset(points: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """One conversion pass: (the extreme points among ``points``, facets of their hull).
+
+    A point is extreme exactly when the hull facets tight at it have rank d,
+    so the single ``conv_facets`` call yields both representations of the
+    hull.  Read through polarity for the polytope {x : <p, x> <= 1}, the kept
+    points are its irredundant facet rows and the hull facets its vertices.
+    Points must be distinct.
+    """
+    facets = conv_facets(points)
+    d = len(points[0])
+    keep = tuple(
+        p for p in points if rank(tuple(f for f in facets if dot(f, p) == ONE)) == d
+    )
+    return keep, facets
 
 
-def _validated_extremes(raw, *, kind: str) -> tuple[Vector, ...]:
+def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
+    """Both representations of an origin-symmetric ball given by one of them.
+
+    ``kind`` is "vertex" when ``raw`` lists points and "facet" when it lists
+    functionals.  The input is deduplicated, checked to span and to be
+    symmetric, and stripped of non-extreme entries (with a warning); the
+    other representation comes from the same conversion pass.
+    """
     pts = tuple(dict.fromkeys(vec(p) for p in raw))
     if not pts:
         raise DegenerateInput(f"empty {kind} set")
@@ -184,19 +199,21 @@ def _validated_extremes(raw, *, kind: str) -> tuple[Vector, ...]:
     pointset = set(pts)
     if any(neg(p) not in pointset for p in pts):
         raise DegenerateInput(f"{kind} set is not symmetric under negation")
-    keep, drop = _extreme_subset(pts)
-    if drop:
+    keep, hull = extreme_subset(pts)
+    if len(keep) < len(pts):
         warnings.warn(
-            f"dropped {len(drop)} non-extreme {kind} point(s) from input",
+            f"dropped {len(pts) - len(keep)} non-extreme {kind} point(s) from input",
             stacklevel=3,
         )
-    return canonical_sorted(keep)
+    keep = canonical_sorted(keep)
+    if kind == "vertex":
+        return VRep(vertices=keep, dim=d), HRep(facets=hull, dim=d)
+    return VRep(vertices=hull, dim=d), HRep(facets=keep, dim=d)
 
 
 def v_rep(points) -> VRep:
     """Build a VRep, deduplicating and dropping non-vertex points (with a warning)."""
-    verts = _validated_extremes(points, kind="vertex")
-    return VRep(vertices=verts, dim=len(verts[0]))
+    return symmetric_ball(points, kind="vertex")[0]
 
 
 def h_rep(functionals) -> HRep:
@@ -205,8 +222,7 @@ def h_rep(functionals) -> HRep:
     A row is redundant exactly when it is not an extreme point of the convex
     hull of all rows, by bipolar duality.
     """
-    facets = _validated_extremes(functionals, kind="facet")
-    return HRep(facets=facets, dim=len(facets[0]))
+    return symmetric_ball(functionals, kind="facet")[1]
 
 
 def v_to_h(v: VRep) -> HRep:
@@ -286,10 +302,12 @@ __all__ = [
     "VRep",
     "conv_facets",
     "enumerate_faces",
+    "extreme_subset",
     "face_census",
     "h_rep",
     "h_to_v",
     "relative_interior_membership",
+    "symmetric_ball",
     "v_rep",
     "v_to_h",
 ]

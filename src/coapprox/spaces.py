@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import SpaceTooLarge, ZeroVector
-from .linalg import Vector, dot, is_zero, unit, vec
-from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, h_rep, h_to_v, v_rep, v_to_h
+from .linalg import Vector, canonical_sorted, dot, is_zero, unit, vec
+from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, symmetric_ball
 
 _EAGER_LIMIT = 12  # builders refuse above this: 2^n extreme objects
 
@@ -73,7 +73,9 @@ def make_linf(n: int) -> PolyhedralSpace:
     duals = tuple(unit(n, i) for i in range(n)) + tuple(
         tuple(-x for x in unit(n, i)) for i in range(n)
     )
-    return PolyhedralSpace(kind="linf", dim=n, vertices=_csorted(verts), dual_extreme=_csorted(duals))
+    return PolyhedralSpace(
+        kind="linf", dim=n, vertices=canonical_sorted(verts), dual_extreme=canonical_sorted(duals)
+    )
 
 
 def make_l1(n: int) -> PolyhedralSpace:
@@ -85,23 +87,23 @@ def make_l1(n: int) -> PolyhedralSpace:
     duals = tuple(
         tuple(Fraction(s) for s in signs) for signs in itertools.product((-1, 1), repeat=n)
     )
-    return PolyhedralSpace(kind="l1", dim=n, vertices=_csorted(verts), dual_extreme=_csorted(duals))
+    return PolyhedralSpace(
+        kind="l1", dim=n, vertices=canonical_sorted(verts), dual_extreme=canonical_sorted(duals)
+    )
 
 
 def make_custom(vertices=None, facets=None) -> PolyhedralSpace:
     """Space from an explicit ball: exactly one of vertices/facets.
 
     The given representation is validated (deduplication, redundancy
-    filtering, symmetry) and the other one computed exactly.
+    filtering, symmetry); the same conversion pass yields the other one.
     """
     if (vertices is None) == (facets is None):
         raise ValueError("give exactly one of vertices= or facets=")
     if vertices is not None:
-        v = v_rep(vertices)
-        h = v_to_h(v)
+        v, h = symmetric_ball(vertices, kind="vertex")
     else:
-        h = h_rep(facets)
-        v = h_to_v(h)
+        v, h = symmetric_ball(facets, kind="facet")
     return PolyhedralSpace(kind="custom", dim=v.dim, vertices=v.vertices, dual_extreme=h.facets)
 
 
@@ -139,10 +141,6 @@ def _check_builder_dim(n: int) -> None:
         raise ValueError("builders need n >= 2")
     if n > _EAGER_LIMIT:
         raise SpaceTooLarge(f"builders enumerate 2^n extreme objects; n={n} exceeds {_EAGER_LIMIT}")
-
-
-def _csorted(vectors) -> tuple[Vector, ...]:
-    return tuple(sorted(vectors))
 
 
 __all__ = [

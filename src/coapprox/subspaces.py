@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import BasisMismatch, DependentBasis
+from .errors import BasisMismatch, DependentBasis, DimensionOutOfRange
 from .linalg import (
     LpProblem,
     Matrix,
     ONE,
     Vector,
     ZERO,
+    canonical_sorted,
     dot,
     is_zero,
     lp_solve,
@@ -39,7 +40,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, h_to_v, v_to_h
+from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, extreme_subset
 from .spaces import PolyhedralSpace, norm
 
 
@@ -144,23 +145,24 @@ def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
     """Compute B_Y = B_X /\\ Y in basis coordinates, with the facet dual map."""
     if y.ambient_dim != space.dim:
         raise ValueError("subspace lives in a different ambient dimension")
-    m = y.dim
     restricted = [restrict(y, g) for g in space.dual_extreme]
-    distinct = [row for row in dict.fromkeys(restricted) if not is_zero(row)]
-    v = h_to_v(HRep(facets=tuple(distinct), dim=m))
-    h = v_to_h(v)
+    distinct = tuple(row for row in dict.fromkeys(restricted) if not is_zero(row))
+    # B_Y = {alpha : <row, alpha> <= 1}: its facet rows are the extreme rows,
+    # and the facets of their hull are its vertices (polarity).
+    rows, vertices = extreme_subset(distinct)
+    facet_rows = canonical_sorted(rows)
     facet_dual = tuple(
         tuple(i for i, row in enumerate(restricted) if row == facet)
-        for facet in h.facets
+        for facet in facet_rows
     )
     assert all(facet_dual), "every facet row of B_Y restricts from some dual extreme"
-    for vert in v.vertices:
+    for vert in vertices:
         assert norm(space, embed(y, vert)) == ONE, "B_Y vertices lie on the unit sphere of X"
     return InducedBall(
         space=space,
         subspace=y,
-        vertices=v.vertices,
-        facet_rows=h.facets,
+        vertices=vertices,
+        facet_rows=facet_rows,
         facet_dual=facet_dual,
     )
 
@@ -259,6 +261,12 @@ def require_coordinates(y: Subspace, x, label: str) -> Vector:
     return coords
 
 
+def require_proper(m: int, n: int) -> None:
+    """Classification is posed for 1 < dim Y < dim X only."""
+    if not 1 < m < n:
+        raise DimensionOutOfRange(f"classification needs 1 < dim Y < dim X, got {m} in {n}")
+
+
 __all__ = [
     "FaceData",
     "InducedBall",
@@ -271,6 +279,7 @@ __all__ = [
     "jy_set_via_faces",
     "point_in_subspace",
     "require_coordinates",
+    "require_proper",
     "restrict",
     "smooth_dense_in",
     "subspace",

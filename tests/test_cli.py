@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +242,21 @@ class TestExitCodes:
         )
         assert code == 1
         assert out["error"]["type"] == "DimensionOutOfRange"
+
+    def test_eps_check_y0_outside_y_survives_optimized_mode(self):
+        # python -O strips asserts; the y0 membership check must not be one
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "coapprox.cli", "eps-check", "--space", LINF3,
+             "--basis", "[[1,0,0],[0,1,0]]", "--point", "[0,0,1]", "--y0", "[0,0,1]",
+             "--epsilon", "1/2"],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "BasisMismatch"
 
 
 class TestFormatting:

@@ -11,12 +11,9 @@ from coapprox.linalg import (
     affine_rank,
     canonical_sorted,
     dot,
-    independent_rows,
     is_zero,
     neg,
-    nullspace_basis,
     scale,
-    sign_vectors,
     sub,
     unit,
     zeros,
@@ -129,14 +126,15 @@ class TestSolveLinear:
 class TestNullspace:
     def test_dimension(self):
         a = ca.mat([(1, 1, 0), (0, 0, 1)])
-        basis = nullspace_basis(a)
+        basis = ca.solve_linear(a, zeros(len(a))).nullspace
         assert len(basis) == 1
         for v in basis:
             for row in a:
                 assert dot(row, v) == 0
 
     def test_full_rank_square(self):
-        assert nullspace_basis(ca.mat([(1, 0), (0, 1)])) == ()
+        a = ca.mat([(1, 0), (0, 1)])
+        assert ca.solve_linear(a, zeros(len(a))).nullspace == ()
 
 
 class TestLp:
@@ -231,10 +229,6 @@ class TestStrictFeasibility:
 
 
 class TestHelpers:
-    def test_independent_rows(self):
-        assert independent_rows(ca.mat([(1, 0), (1, 1)]))
-        assert not independent_rows(ca.mat([(1, 0), (2, 0)]))
-
     def test_affine_rank(self):
         square = ca.mat([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert affine_rank(square) == 2
@@ -245,16 +239,6 @@ class TestHelpers:
     def test_canonical_sorted(self):
         out = canonical_sorted([(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))])
         assert out == ((F(-1), F(0)), (F(0), F(1)), (F(1), F(0)))
-
-    def test_sign_vectors(self):
-        vecs = sign_vectors(2)
-        assert len(vecs) == 4
-        assert set(vecs) == {
-            (F(1), F(1)),
-            (F(1), F(-1)),
-            (F(-1), F(1)),
-            (F(-1), F(-1)),
-        }
 
     def test_random_bases_have_full_rank(self):
         rng = seeded(13)

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import coapprox as ca
-from coapprox.linalg import canonical_sorted, dot, neg
+import coapprox.polytope
+from coapprox.linalg import canonical_sorted, dot, neg, unit
+from coapprox.polytope import conv_facets
 
-from conftest import NARROW_BASIS, independent_basis, rational_point, seeded
+from conftest import NARROW_BASIS, independent_basis, prism_vertices, rational_point, seeded
 
 F = Fraction
 
@@ -85,6 +87,36 @@ class TestInducedBall:
             y = ca.subspace(independent_basis(rng, n, m))
             ball = ca.induced_ball(sp, y)
             assert all(ball.facet_dual)
+            # the two-pass route (vertices from the rows, then facets from the
+            # vertices) is the oracle for the single conversion pass
+            rows = (ca.restrict(y, g) for g in sp.dual_extreme)
+            distinct = tuple(r for r in dict.fromkeys(rows) if any(r))
+            assert ball.vertices == ca.h_to_v(ca.HRep(distinct, m)).vertices
+            assert ball.facet_rows == ca.v_to_h(ca.VRep(ball.vertices, m)).facets
+
+    def test_one_conversion_pass_per_ball(self, monkeypatch):
+        calls = []
+
+        def counting(points):
+            calls.append(len(points))
+            return conv_facets(points)
+
+        monkeypatch.setattr(coapprox.polytope, "conv_facets", counting)
+        centres = [(0, 0, 1), (0, 0, -1)]  # face centres: not vertices of the prism
+        with pytest.warns(UserWarning, match="dropped 2"):
+            prism = ca.make_custom(vertices=prism_vertices() + centres)
+        assert len(calls) == 1
+        cube = [unit(3, i) for i in range(3)]
+        shrunk = [(F(1, 2), 0, 0), (F(-1, 2), 0, 0)]  # a slack row of the cube
+        with pytest.warns(UserWarning, match="dropped 2"):
+            ca.make_custom(facets=cube + [neg(f) for f in cube] + shrunk)
+        assert len(calls) == 2
+        # a span no other test asks about, so the cache misses
+        y = ca.subspace([(1, F(2, 7), 0), (0, 1, F(-3, 11))])
+        misses = ca.induced_ball.cache_info().misses
+        ca.induced_ball(prism, y)
+        assert ca.induced_ball.cache_info().misses == misses + 1
+        assert len(calls) == 3
 
     def test_flat_section_duals_are_singletons(self, prism, prism_flat):
         ball = ca.induced_ball(prism, prism_flat)
