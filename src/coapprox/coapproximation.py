@@ -1,13 +1,13 @@
 """Birkhoff-James orthogonality, best coapproximation, and classification.
 
 The backbone of every decision here is one finiteness argument: the support
-set J(y) is constant on the relative interior of each face of the induced
-ball B_Y, equal to the convex hull of the face's dual face D(G).  A statement
-quantified over all y in Y therefore reduces to a scan over the finitely many
-faces of B_Y, with min/max over D(G) standing in for "some functional in
-J(y)" because J(y) is a polytope.
+set J(y) is constant on the relative interior of each face G of the induced
+ball B_Y, equal to conv D(G), and the dual face D(G) grows as G shrinks.  So a
+statement about all y in Y is a scan over the facets of B_Y, one about some y
+a scan over its vertices, with min/max over D(G) standing in for "some
+functional in J(y)" because J(y) is a polytope.
 
-A point y0 in Y is a best coapproximation to x exactly when every face G of
+A point y0 in Y is a best coapproximation to x exactly when every facet G of
 B_Y admits a functional in conv D(G) vanishing on x - y0, i.e. when the values
 of D(G) on x - y0 straddle zero.  The epsilon-defect replaces "straddle zero"
 by the distance of the value interval from zero, normalized by ||x - y0||; it
@@ -65,6 +65,9 @@ from .subspaces import (
 )
 
 
+_ANTI_SAMPLES = 25  # random points tried when the rank criterion is not decisive
+
+
 def epsilon_value(eps) -> Fraction:
     """Validate an epsilon parameter: a rational in [0, 1)."""
     value = fr(eps)
@@ -108,49 +111,48 @@ def eps_bj_orthogonal(space: PolyhedralSpace, x, y, eps) -> bool:
     epsilon = epsilon_value(eps)
     py = vec(y)
     values = [dot(g, py) for g in support_set(space, x).functionals]
-    lo, hi = min(values), max(values)
-    least = ZERO if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    return least <= epsilon * norm(space, py)
+    return _gap(values) <= epsilon * norm(space, py)
+
+
+def _gap(values) -> Fraction:
+    """Distance from 0 to the hull of the values: 0 when they straddle zero."""
+    return max(min(values), -max(values), ZERO)
+
+
+def _facet_gaps(space: PolyhedralSpace, y: Subspace, diff: Vector):
+    """The gap of conv D(G) on diff for each facet G of B_Y.
+
+    A smaller face has a larger dual face, whose values contain these, so no
+    face of B_Y has a larger gap than the worst facet.
+    """
+    for dual in induced_ball(space, y).facet_dual:
+        yield _gap([dot(space.dual_extreme[i], diff) for i in dual])
 
 
 def is_best_coapprox(space: PolyhedralSpace, y: Subspace, x, y0) -> bool:
     """Is y0 a best coapproximation to x out of Y?
 
-    Checks, for every face G of B_Y, that the values of D(G) on x - y0
-    straddle zero, i.e. that some functional norming the face annihilates
+    Checks, for every facet G of B_Y, that the values of D(G) on x - y0
+    straddle zero, i.e. that some functional norming the facet annihilates
     x - y0.
     """
     require_coordinates(y, y0, "y0")
     diff = sub(vec(x), vec(y0))
-    if is_zero(diff):
-        return True
-    for data in induced_ball(space, y).faces:
-        values = [dot(space.dual_extreme[i], diff) for i in data.dual]
-        if min(values) > 0 or max(values) < 0:
-            return False
-    return True
+    return is_zero(diff) or all(gap == 0 for gap in _facet_gaps(space, y, diff))
 
 
 def eps_coapprox_defect(space: PolyhedralSpace, y: Subspace, x, y0) -> Fraction:
     """The least epsilon for which y0 is an epsilon-best coapproximation to x.
 
-    For each face G the nearest-to-zero value of conv D(G) on x - y0 is 0 when
-    the extreme values straddle zero and min(|lo|, |hi|) otherwise; the defect
-    is the worst face's value normalized by ||x - y0||.  It always lies in
-    [0, 1] and vanishes exactly on best coapproximations.
+    The defect is the worst facet's distance of conv D(G) from zero on x - y0,
+    normalized by ||x - y0||.  It always lies in [0, 1] and vanishes exactly
+    on best coapproximations.
     """
     require_coordinates(y, y0, "y0")
     diff = sub(vec(x), vec(y0))
     if is_zero(diff):
         raise DegenerateQuery("defect is undefined for x = y0")
-    worst = ZERO
-    for data in induced_ball(space, y).faces:
-        values = [dot(space.dual_extreme[i], diff) for i in data.dual]
-        lo, hi = min(values), max(values)
-        nearest = ZERO if lo <= 0 <= hi else min(abs(lo), abs(hi))
-        if nearest > worst:
-            worst = nearest
-    return worst / norm(space, diff)
+    return max(_facet_gaps(space, y, diff)) / norm(space, diff)
 
 
 @dataclass(frozen=True)
@@ -262,9 +264,7 @@ class AntiResult:
     witness_y0: Vector | None = None
 
 
-def is_anti_coproximinal(
-    space: PolyhedralSpace, y: Subspace, samples: int = 25, seed: int = 0
-) -> AntiResult:
+def is_anti_coproximinal(space: PolyhedralSpace, y: Subspace, seed: int = 0) -> AntiResult:
     """Does no x outside Y have a best coapproximation out of Y?
 
     Full rank of the norming-functional set is sufficient in any polyhedral
@@ -299,7 +299,7 @@ def is_anti_coproximinal(
 
     rng = random.Random(seed)
     candidates = [v for v in kernel if coordinates(y, v) is None]
-    for _ in range(samples):
+    for _ in range(_ANTI_SAMPLES):
         point = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(space.dim))
         if not is_zero(point) and coordinates(y, point) is None:
             candidates.append(point)
@@ -374,33 +374,36 @@ def sufficient_condition_strong(space: PolyhedralSpace, y: Subspace, x) -> bool:
     """Does some y in Y have J(y) contained in J(x) or J(-x)?
 
     Faces of the dual ball are disjoint for x and -x, so a connected J(y)
-    inside their union lies wholly in one of them; over the faces of B_Y this
-    becomes: some dual face is a subset of the support set of x or of -x.
-    Requires x outside Y.
+    inside their union lies wholly in one of them; over B_Y this becomes: some
+    facet's dual face is a subset of the support set of x or of -x.  Requires
+    x outside Y.
     """
     px = vec(x)
     if coordinates(y, px) is not None:
         raise PointInSubspace("the condition is posed for x outside Y")
     supp = frozenset(support_set(space, px).indices)
     supp_neg = frozenset(support_set(space, neg(px)).indices)
-    for data in induced_ball(space, y).faces:
-        dual = frozenset(data.dual)
-        if dual <= supp or dual <= supp_neg:
-            return True
-    return False
+    return any(
+        supp.issuperset(dual) or supp_neg.issuperset(dual)
+        for dual in induced_ball(space, y).facet_dual
+    )
 
 
 def necessary_condition_check(space: PolyhedralSpace, y: Subspace, x) -> bool:
     """Does some y in Y have J(y) meeting J(x)?
 
     Two faces of the dual ball intersect iff they share an extreme point, so
-    the check is a finite intersection of index sets.
+    the check is a finite intersection of index sets, tried at the vertices
+    of B_Y, whose support sets are the largest.
     """
     px = vec(x)
     if is_zero(px):
         raise ZeroVector("the condition requires nonzero x")
     supp = frozenset(support_set(space, px).indices)
-    return any(supp & frozenset(data.dual) for data in induced_ball(space, y).faces)
+    return any(
+        not supp.isdisjoint(support_set(space, embed(y, vert)).indices)
+        for vert in induced_ball(space, y).vertices
+    )
 
 
 __all__ = [

@@ -277,8 +277,8 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
     """Exact two-phase simplex over the rationals.
 
     Free variables are split into positive and negative parts; bounds become
-    extra inequality rows.  Phase one introduces artificial variables only for
-    rows without a usable slack column.
+    extra inequality rows.  Phase one adds an artificial variable per
+    equality row and one shared by all inequality rows the origin violates.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -308,6 +308,14 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
             row = [-x for x in row]
         rows.append(row)
 
+    # The shared artificial starts on the surplus row with the largest
+    # right-hand side; subtracting every other surplus row from that one
+    # leaves its slack basic at a nonnegative value (one pivot, not one each).
+    surplus = [i for i, col in slack_col.items() if rows[i][col] == -ONE]
+    top = max(surplus, key=lambda i: rows[i][-1], default=None)
+    for i in surplus:
+        if i != top:
+            rows[i] = [a - b for a, b in zip(rows[top], rows[i])]
     basis: list[int] = []
     art_cols: list[int] = []
     for i, (_, rel, _) in enumerate(cons):
@@ -372,24 +380,19 @@ class Feasibility:
 def strict_feasibility(c: Matrix) -> Feasibility:
     """Decide whether some beta has C beta > 0 in every row.
 
-    The homogeneous strict system is compactified losslessly (scaling) to the
-    box -1 <= beta_j <= 1 and decided by the LP "maximize t subject to
-    C beta >= t 1": strict feasibility holds exactly when the optimum is
-    positive, and the optimizing beta is then an exact witness.
+    The system is homogeneous, so scaling any solution makes every row at
+    least 1: it is the same question as the plain feasibility of C beta >= 1,
+    one phase-one simplex with a zero objective, and any feasible point is an
+    exact witness.
     """
     if not c:
         raise ValueError("strict_feasibility needs at least one row")
-    k = len(c[0])
-    constraints = tuple((row + (-ONE,), ">=", ZERO) for row in c)
-    bounds = tuple((-ONE, ONE) for _ in range(k)) + ((None, None),)
-    problem = LpProblem(objective=unit(k + 1, k), constraints=constraints, bounds=bounds)
-    res = lp_solve(problem, "max")
-    assert res.status == "optimal", "the feasibility LP is always feasible and bounded"
-    if res.value > 0:
-        witness = res.point[:k]
-        assert all(dot(row, witness) > 0 for row in c)
-        return Feasibility(feasible=True, witness=witness)
-    return Feasibility(feasible=False)
+    constraints = tuple((row, ">=", ONE) for row in c)
+    res = lp_solve(LpProblem(objective=zeros(len(c[0])), constraints=constraints))
+    if res.status != "optimal":
+        return Feasibility(feasible=False)
+    assert all(dot(row, res.point) > 0 for row in c)
+    return Feasibility(feasible=True, witness=res.point)
 
 
 def affine_rank(points) -> int:

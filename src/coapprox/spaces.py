@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import SpaceTooLarge, ZeroVector
 from .linalg import Vector, canonical_sorted, dot, is_zero, unit, vec
-from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, symmetric_ball
+from .polytope import HRep, VRep, symmetric_ball
 
 _EAGER_LIMIT = 12  # builders refuse above this: 2^n extreme objects
 
@@ -37,11 +36,6 @@ class PolyhedralSpace:
     dim: int
     vertices: tuple[Vector, ...]
     dual_extreme: tuple[Vector, ...]
-
-    @cached_property
-    def faces(self) -> tuple[FaceDescriptor, ...]:
-        """All nonempty proper faces of the unit ball (computed lazily)."""
-        return enumerate_faces(self.vrep, self.hrep)
 
     @property
     def vrep(self) -> VRep:

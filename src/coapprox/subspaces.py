@@ -3,16 +3,18 @@
 The induced unit ball B_Y = B_X intersected with Y is computed in basis
 coordinates by restricting every extreme dual functional to Y and converting
 representations.  Each face G of B_Y carries its dual face D(G): the extreme
-functionals of X that are identically 1 on G.  D is antitone along the face
-lattice (larger faces have smaller dual faces), and a point in the relative
-interior of G has support set exactly conv D(G); that constancy is what turns
-every "for all y in Y" quantifier downstream into a finite face enumeration.
+functionals of X that are identically 1 on G.  A point in the relative
+interior of G has support set exactly conv D(G), and D is antitone (larger
+faces have smaller dual faces): facets carry the smallest dual faces and
+vertices the largest.  So a "for all y in Y" test downstream holds once it
+holds on the facets, and a "some y in Y" test once it holds at some vertex;
+the full face lattice (``InducedBall.faces``) is only kept for reference.
 
 A facet of B_Y with row r has D = {g : g restricted to the basis equals r}
 (the facet affinely spans the slab where r is 1), which gives a conversion-only
 route to the norming-functional set of Y and to smooth-density; the public
-``jy_set`` follows the per-facet LP characterization instead, and the two are
-cross-checked in the test suite.
+``jy_set`` decides each extreme functional by one strict linear system
+instead, and the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -23,20 +25,19 @@ from functools import cached_property, lru_cache
 
 from .errors import BasisMismatch, DependentBasis, DimensionOutOfRange
 from .linalg import (
-    LpProblem,
     Matrix,
     ONE,
     Vector,
-    ZERO,
     canonical_sorted,
     dot,
     is_zero,
-    lp_solve,
     mat,
     rank,
+    scale,
     solve_linear,
+    strict_feasibility,
+    sub,
     transpose,
-    unit,
     vec,
     zeros,
 )
@@ -185,28 +186,24 @@ class JYSet:
 
 
 def jy_set(space: PolyhedralSpace, y: Subspace) -> JYSet:
-    """Norming-functional set of Y, decided by one LP per facet of B_X.
+    """Norming-functional set of Y, decided by one strict system per facet of B_X.
 
-    g belongs to the set iff Y meets the relative interior of g's facet:
-    maximize t subject to y in Y, <g, y> = 1, and <g', y> <= 1 - t for every
-    other extreme functional; inclusion holds exactly when the optimum is
-    positive.
+    g belongs to the set iff Y meets the relative interior of g's facet, i.e.
+    some y in Y has <g, y> > <g', y> for every other extreme functional g'.
+    The partner -g forces <g, y> > 0, so y / <g, y> is a smooth unit witness.
     """
     if y.ambient_dim != space.dim:
         raise ValueError("subspace lives in a different ambient dimension")
-    m = y.dim
     indices, witnesses = [], []
     for j, g in enumerate(space.dual_extreme):
-        rows = []
-        rows.append((restrict(y, g) + (ZERO,), "==", ONE))
-        for jj, other in enumerate(space.dual_extreme):
-            if jj != j:
-                rows.append((restrict(y, other) + (ONE,), "<=", ONE))
-        objective = unit(m + 1, m)
-        res = lp_solve(LpProblem(objective=objective, constraints=tuple(rows)), "max")
-        if res.status == "optimal" and res.value > 0:
+        rows = tuple(
+            restrict(y, sub(g, other)) for jj, other in enumerate(space.dual_extreme) if jj != j
+        )
+        feas = strict_feasibility(rows)
+        if feas.feasible:
+            point = embed(y, feas.witness)
             indices.append(j)
-            witnesses.append(embed(y, res.point[:m]))
+            witnesses.append(scale(point, 1 / dot(g, point)))
     return JYSet(
         indices=tuple(indices),
         functionals=tuple(space.dual_extreme[i] for i in indices),

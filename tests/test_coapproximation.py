@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 import coapprox as ca
-from coapprox.linalg import add
+import coapprox.subspaces
+from coapprox.linalg import add, dot, neg, sub, zeros
 
 from conftest import (
     NARROW_BASIS,
+    independent_basis,
     nonzero_point,
     rational_point,
     seeded,
@@ -249,3 +251,74 @@ class TestConditions:
     def test_necessary_condition_rejects_zero(self, linf3, narrow):
         with pytest.raises(ca.ZeroVector):
             ca.necessary_condition_check(linf3, narrow, (0, 0, 0))
+
+
+class TestFacetsDecide:
+    """The facet and vertex scans agree with a scan over the whole face lattice."""
+
+    def test_no_face_lattice_on_a_cold_ball(self, monkeypatch, prism, prism_tilted, linf3, narrow):
+        def refuse(*args):
+            raise AssertionError("the face lattice was built")
+
+        monkeypatch.setattr(coapprox.subspaces, "enumerate_faces", refuse)
+        ca.induced_ball.cache_clear()
+        for space, y, x in ((prism, prism_tilted, (1, 2, 0)), (linf3, narrow, (1, -1, 0))):
+            assert ca.is_best_coapprox(space, y, x, (0, 0, 0)) in (True, False)
+            assert 0 <= ca.eps_coapprox_defect(space, y, x, (0, 0, 0)) <= 1
+            assert ca.sufficient_condition_strong(space, y, x) in (True, False)
+            assert ca.necessary_condition_check(space, y, x) in (True, False)
+        ca.induced_ball.cache_clear()
+
+    def test_agrees_with_the_face_scan(self, prism, prism_flat, prism_tilted, prism_steep):
+        rng = seeded(211)
+        cases = [(prism, y) for y in (prism_flat, prism_tilted, prism_steep)]
+        for n in (3, 4, 5):
+            for space in (ca.make_linf(n), ca.make_l1(n)):
+                for _ in range(2):
+                    m = rng.randint(1, n - 1)
+                    cases.append((space, ca.subspace(independent_basis(rng, n, m, -2, 2))))
+        seen = set()
+        for space, y in cases:
+            n = space.dim
+            for _ in range(5):
+                x = nonzero_point(rng, n, -3, 3, 1)
+                if ca.point_in_subspace(y, x):
+                    continue
+                y0s = [zeros(n), ca.embed(y, rational_point(rng, y.dim, -2, 2, 2))]
+                try:
+                    solved = ca.solve_best_coapprox(space, y, x, budget=2000)
+                except ca.BudgetExceeded:
+                    solved = None
+                if solved is not None and solved.exists:
+                    y0s.append(solved.y0)
+                for y0 in y0s:
+                    gap = _worst_face_gap(space, y, sub(x, y0))
+                    best = ca.is_best_coapprox(space, y, x, y0)
+                    assert best == (gap == 0)
+                    assert ca.eps_coapprox_defect(space, y, x, y0) == gap / ca.norm(space, sub(x, y0))
+                    seen.add(("best", best))
+                sufficient, necessary = _face_conditions(space, y, x)
+                assert ca.sufficient_condition_strong(space, y, x) == sufficient
+                assert ca.necessary_condition_check(space, y, x) == necessary
+                seen |= {("sufficient", sufficient), ("necessary", necessary)}
+        assert len(seen) == 6, seen
+
+
+def _worst_face_gap(space, y, diff):
+    """Reference: the largest distance from 0 of conv D(G) on diff over all faces G."""
+    worst = F(0)
+    for data in ca.induced_ball(space, y).faces:
+        values = [dot(space.dual_extreme[i], diff) for i in data.dual]
+        lo, hi = min(values), max(values)
+        worst = max(worst, F(0) if lo <= 0 <= hi else min(abs(lo), abs(hi)))
+    return worst
+
+
+def _face_conditions(space, y, x):
+    """Reference: the sufficient and necessary conditions over all faces of B_Y."""
+    supp = set(ca.support_set(space, x).indices)
+    supp_neg = set(ca.support_set(space, neg(x)).indices)
+    duals = [set(data.dual) for data in ca.induced_ball(space, y).faces]
+    sufficient = any(d <= supp or d <= supp_neg for d in duals)
+    necessary = any(supp & d for d in duals)
+    return sufficient, necessary

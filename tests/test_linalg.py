@@ -1,11 +1,13 @@
 """Exact rational linear algebra and LP layer."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import coapprox as ca
+import coapprox.linalg
 from coapprox.linalg import (
     add,
     affine_rank,
@@ -182,6 +184,27 @@ class TestLp:
         res = ca.lp_solve(prob, "max")
         assert res.value == F(1, 3)
 
+    def test_rows_violated_at_the_origin_match_vertex_enumeration(self):
+        # several ">=" rows with positive right-hand side share one artificial
+        rng = seeded(13)
+        outcomes = set()
+        for _ in range(60):
+            cons = [(unit(2, i) if s > 0 else neg(unit(2, i)), "<=", F(4)) for i in range(2) for s in (1, -1)]
+            for _ in range(rng.randint(2, 4)):
+                cons.append((rational_point(rng, 2, -3, 3, 2), ">=", F(rng.randint(1, 4))))
+            if rng.random() < 0.3:
+                cons.append((rational_point(rng, 2, -3, 3, 1), "==", F(rng.randint(-2, 2))))
+            obj = rational_point(rng, 2, -3, 3, 2)
+            res = ca.lp_solve(ca.lp(obj, cons), "max")
+            best = _best_vertex(obj, cons)
+            outcomes.add(res.status)
+            if best is None:
+                assert res.status == "infeasible"
+            else:
+                assert res.status == "optimal" and res.value == best
+                assert _satisfies(cons, res.point)
+        assert outcomes == {"optimal", "infeasible"}
+
     def test_solution_satisfies_all_constraints(self):
         rng = seeded(7)
         count = 0
@@ -226,6 +249,67 @@ class TestStrictFeasibility:
             m = ca.mat(rows)
             scaled = tuple(scale(r, F(rng.randint(1, 5))) for r in m)
             assert ca.strict_feasibility(m).feasible == ca.strict_feasibility(scaled).feasible
+
+    def test_one_zero_objective_lp_without_bounds(self, monkeypatch):
+        calls = []
+        real = coapprox.linalg.lp_solve
+
+        def spy(problem, *args):
+            calls.append(problem)
+            return real(problem, *args)
+
+        monkeypatch.setattr(coapprox.linalg, "lp_solve", spy)
+        c = ca.mat([(1, 0, 2), (0, 1, -1), (1, 1, 1), (-1, 2, 0)])
+        assert ca.strict_feasibility(c).feasible
+        assert len(calls) == 1
+        (problem,) = calls
+        assert len(problem.constraints) == len(c)
+        assert is_zero(problem.objective) and len(problem.objective) == 3
+        assert problem.bounds is None
+
+    def test_agrees_with_the_box_lp(self):
+        rng = seeded(29)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            rows = [tuple(F(rng.randint(-3, 3)) for _ in range(k)) for _ in range(rng.randint(1, 5))]
+            extra = rng.random()
+            if extra < 0.15:
+                rows.append(zeros(k))
+            elif extra < 0.4:
+                rows.append(neg(rng.choice(rows)))
+            rng.shuffle(rows)
+            c = tuple(rows)
+            res = ca.strict_feasibility(c)
+            assert res.feasible == _box_lp_feasible(c)
+            if res.feasible:
+                assert all(dot(row, res.witness) > 0 for row in c)
+            else:
+                assert res.witness is None
+
+
+def _satisfies(cons, point) -> bool:
+    checks = {"<=": lambda v, b: v <= b, ">=": lambda v, b: v >= b, "==": lambda v, b: v == b}
+    return all(checks[rel](dot(a, point), b) for a, rel, b in cons)
+
+
+def _best_vertex(obj, cons):
+    """Reference for bounded planar LPs: the best feasible pairwise line intersection."""
+    values = []
+    for (a, _, b), (c, _, d) in itertools.combinations(cons, 2):
+        sol = ca.solve_linear((a, c), (b, d))
+        if sol.kind == "unique" and _satisfies(cons, sol.particular):
+            values.append(dot(obj, sol.particular))
+    return max(values, default=None)
+
+
+def _box_lp_feasible(c) -> bool:
+    """Reference: maximize t subject to C beta >= t 1 and -1 <= beta_j <= 1."""
+    k = len(c[0])
+    cons = tuple((row + (F(-1),), ">=", 0) for row in c)
+    bounds = ((-1, 1),) * k + ((None, None),)
+    res = ca.lp_solve(ca.lp(unit(k + 1, k), cons, bounds), "max")
+    assert res.status == "optimal"
+    return res.value > 0
 
 
 class TestHelpers:

@@ -152,13 +152,19 @@ class TestJySet:
         funcs = set(ca.jy_set(prism, prism_tilted).functionals)
         assert funcs == {neg(g) for g in funcs}
 
-    def test_witnesses_are_smooth_unit_normers(self, prism, prism_steep):
-        jy = ca.jy_set(prism, prism_steep)
-        for g, w in zip(jy.functionals, jy.witnesses):
-            assert ca.point_in_subspace(prism_steep, w)
-            assert ca.norm(prism, w) == 1
-            assert ca.is_smooth(prism, w)
-            assert ca.support_set(prism, w).functionals == (g,)
+    def test_witnesses_are_smooth_unit_normers(self, prism, prism_flat, prism_tilted, prism_steep):
+        for y in (prism_flat, prism_tilted, prism_steep):
+            _assert_smooth_unit_normers(prism, y, ca.jy_set(prism, y))
+
+    def test_witnesses_recheck_on_random_sections(self):
+        rng = seeded(41)
+        for _ in range(24):
+            kind = rng.choice(["linf", "l1"])
+            n = rng.choice([3, 4, 5] if kind == "linf" else [3, 4])
+            m = rng.randint(2, n - 1)
+            sp = ca.make_linf(n) if kind == "linf" else ca.make_l1(n)
+            y = ca.subspace(independent_basis(rng, n, m))
+            _assert_smooth_unit_normers(sp, y, ca.jy_set(sp, y))
 
     def test_two_routes_agree_on_fixtures(self, prism, prism_flat, prism_tilted, prism_steep):
         cases = [
@@ -184,3 +190,12 @@ class TestJySet:
         jy = ca.jy_set(prism, prism_tilted)
         for i, g in zip(jy.indices, jy.functionals):
             assert prism.dual_extreme[i] == g
+
+
+def _assert_smooth_unit_normers(space, y, jy):
+    """Each witness lies in Y, has norm one, and its functional is its only normer."""
+    assert len(jy.witnesses) == len(jy.indices)
+    for i, w in zip(jy.indices, jy.witnesses):
+        assert ca.point_in_subspace(y, w)
+        assert ca.norm(space, w) == 1
+        assert ca.support_set(space, w).indices == (i,)
