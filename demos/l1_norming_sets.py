@@ -44,15 +44,16 @@ def main():
         else:
             print(f"best coapproximation to {b}: none exists")
 
-    rep = ca.l1_never_strongly_anti(BASIS)
+    verdict = ca.classify(sp, y, verify=True)
+    cert, generic = verdict.certificates, verdict.generic
     print(
-        f"strong classification is impossible here: |norming set| = {rep.norming_size}"
-        f" <= bound {rep.bound} < {rep.total_sign_vectors} sign vectors,"
+        f"strong classification is impossible here: |norming set| = {cert['norming_size']}"
+        f" <= bound {cert['bound']} < {cert['sign_vectors']} sign vectors,"
     )
     print(
         "  so some sign vector never norms a smooth span point"
-        f" (for instance {tuple(int(c) for c in rep.missed_facet)}),"
-        f" and the full engine confirms: {rep.generic_status}"
+        f" (for instance {tuple(int(c) for c in generic.certificates['missed_facet'])}),"
+        f" and the full engine confirms: {generic.strongly_anti}"
     )
 
 

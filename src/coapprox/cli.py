@@ -5,8 +5,12 @@ literals are rejected to keep all decisions exact) and emits a single JSON
 object on stdout.  Fractions are serialized back as "p/q" strings so output
 round-trips through the same parser.
 
+``classify`` only serializes the library's ``classify``, which picks the
+engine and runs the --verify cross-check; the --verify cross-checks of bj,
+best-coapprox and jy are made here.
+
 Exit codes: 0 success, 1 malformed input or domain error, 2 search budget
-exceeded, 3 cross-check discrepancy under --verify.
+exceeded, 3 a cross-check under --verify or a certificate recheck failed.
 
 The request may also arrive on stdin as one JSON document with keys space,
 basis, point, points, y0, epsilon, budget, seed, verify; stdin is read only
@@ -22,26 +26,20 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .classification import classify
 from .coapproximation import (
     bj_orthogonal,
     bj_orthogonal_lambda_oracle,
     eps_bj_orthogonal,
     eps_coapprox_defect,
     epsilon_value,
-    is_anti_coproximinal,
     is_best_coapprox,
-    is_strongly_anti_coproximinal,
     solve_best_coapprox,
 )
-from .errors import BudgetExceeded, CoapproxError
-from .l1 import (
-    cell_bound,
-    l1_best_coapprox,
-    l1_is_anti_coproximinal,
-    minimal_norming_set,
-    zero_set,
-)
-from .linf import linf_classify, star_property
+from .errors import BudgetExceeded, CoapproxError, Discrepancy
+from .l1 import l1_best_coapprox, minimal_norming_set, zero_set
+from .linalg import vec
+from .linf import star_property
 from .polytope import face_census
 from .spaces import (
     PolyhedralSpace,
@@ -60,10 +58,6 @@ from .subspaces import (
     smooth_dense_in,
     subspace,
 )
-
-
-class Discrepancy(Exception):
-    """Fast-path and generic-engine answers disagree under --verify."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,20 +80,10 @@ def _loads(text: str):
     return json.loads(text, parse_float=_reject_float)
 
 
-def _rational(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"{value!r} is not an exact rational; use int or \"p/q\"")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"cannot read {value!r} as a rational number")
-
-
 def _vector(value) -> tuple[Fraction, ...]:
     if not isinstance(value, list) or not value:
         raise ValueError("a point must be a nonempty JSON array of rationals")
-    return tuple(_rational(x) for x in value)
+    return vec(value)
 
 
 def _matrix(value) -> tuple[tuple[Fraction, ...], ...]:
@@ -212,7 +196,7 @@ def _gather(args) -> Request:
         req.y0 = _vector(y0 if isinstance(y0, list) else _loads(y0))
     eps = args.epsilon if args.epsilon is not None else doc.get("epsilon")
     if eps is not None:
-        req.epsilon = epsilon_value(_rational(eps))
+        req.epsilon = epsilon_value(eps)
     budget = args.budget if args.budget is not None else doc.get("budget")
     if budget is not None:
         req.budget = int(budget)
@@ -298,96 +282,12 @@ def _cmd_defect(req: Request) -> dict:
     return {"defect": defect}
 
 
-def _classify_linf(req: Request) -> dict:
-    verdict = linf_classify(req.need_basis())
-    answer = "yes" if verdict.strongly_anti else "no"
-    certificates = {}
-    if not verdict.strongly_anti:
-        certificates = {
-            "failing_index": verdict.failing_index,
-            "failing_clause": verdict.failing_clause,
-            "reason": verdict.reason,
-        }
-    else:
-        certificates = {
-            "star_witnesses": {str(i): r.witness for i, r in verdict.star_results}
-        }
-    return {
-        "anti": answer,
-        "strongly_anti": answer,
-        "engine": "linf-fast",
-        "certificates": certificates,
-    }
-
-
-def _classify_l1(req: Request) -> dict:
-    basis = req.need_basis()
-    m, n = len(basis), len(basis[0])
-    anti = l1_is_anti_coproximinal(basis)
-    certificates: dict = {"bound": cell_bound(n, m), "sign_vectors": 2**n}
-    if anti.status == "no":
-        certificates["reason"] = anti.reason
-        if anti.witness_x is not None:
-            certificates["witness_x"] = anti.witness_x
-    if anti.norming is not None:
-        certificates["norming_size"] = anti.norming.size
-        certificates["norming_rank"] = anti.rank
-    return {
-        "anti": anti.status,
-        "strongly_anti": "no",
-        "engine": "l1-fast",
-        "certificates": certificates,
-    }
-
-
-def _classify_generic(req: Request, space: PolyhedralSpace) -> dict:
-    y = req.need_subspace()
-    anti = is_anti_coproximinal(space, y, seed=req.seed)
-    strong = is_strongly_anti_coproximinal(space, y)
-    certificates: dict = {
-        "jy_size": strong.jy.size,
-        "jy_indices": list(strong.jy.indices),
-        "rank": anti.rank,
-        "smooth_dense": anti.smooth_dense,
-    }
-    if anti.status == "no":
-        certificates["witness_x"] = anti.witness_x
-        certificates["witness_y0"] = anti.witness_y0
-    if strong.status == "no":
-        certificates["missed_facet"] = strong.missed
-        certificates["interior_point"] = strong.interior_point
-        certificates["epsilon0"] = strong.epsilon0
-    return {
-        "anti": anti.status,
-        "strongly_anti": strong.status,
-        "engine": "generic",
-        "certificates": certificates,
-    }
-
-
 def _cmd_classify(req: Request) -> dict:
-    space = req.need_space()
-    basis = req.need_basis()
-    if any(len(row) != space.dim for row in basis):
-        raise ValueError("basis rows do not match the space dimension")
-    if space.kind == "linf":
-        out = _classify_linf(req)
-    elif space.kind == "l1":
-        out = _classify_l1(req)
-    else:
-        out = _classify_generic(req, space)
-    if req.verify and space.kind in ("linf", "l1"):
-        generic = _classify_generic(req, space)
-        out["generic"] = {"anti": generic["anti"], "strongly_anti": generic["strongly_anti"]}
-        if generic["strongly_anti"] != out["strongly_anti"]:
-            raise Discrepancy(
-                f"fast path says strongly_anti={out['strongly_anti']}, "
-                f"generic says {generic['strongly_anti']}"
-            )
-        if generic["anti"] != "undecided" and generic["anti"] != out["anti"]:
-            raise Discrepancy(
-                f"fast path says anti={out['anti']}, generic says {generic['anti']}"
-            )
+    result = classify(req.need_space(), req.need_subspace(), verify=req.verify, seed=req.seed)
+    out = {"anti": result.anti, "strongly_anti": result.strongly_anti,
+           "engine": result.engine, "certificates": result.certificates}
+    if result.generic is not None:
+        out["generic"] = {"anti": result.generic.anti, "strongly_anti": result.generic.strongly_anti}
     return out
 
 
@@ -427,7 +327,7 @@ def _cmd_facets(req: Request) -> dict:
 
 def _cmd_jy(req: Request) -> dict:
     space, y = req.need_space(), req.need_subspace()
-    jy = jy_set(space, y)
+    jy = jy_set_via_faces(space, y)
     out = {
         "indices": list(jy.indices),
         "functionals": jy.functionals,
@@ -436,11 +336,11 @@ def _cmd_jy(req: Request) -> dict:
         "smooth_dense": smooth_dense_in(space, y),
     }
     if req.verify:
-        via_faces = jy_set_via_faces(space, y)
-        if via_faces.indices != jy.indices:
+        oracle = jy_set(space, y)
+        if oracle.indices != jy.indices:
             raise Discrepancy(
-                f"LP route found indices {list(jy.indices)}, "
-                f"face route found {list(via_faces.indices)}"
+                f"face route found indices {list(jy.indices)}, "
+                f"LP route found {list(oracle.indices)}"
             )
     return out
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateQuery,
+    Discrepancy,
     PointInSubspace,
     BudgetExceeded,
     ZeroVector,
@@ -286,8 +287,10 @@ def is_anti_coproximinal(space: PolyhedralSpace, y: Subspace, seed: int = 0) -> 
     kernel = solve_linear(ann_rows, zeros(len(ann_rows))).nullspace
     if dense:
         witness = kernel[0]
-        assert coordinates(y, witness) is None, "a norming-set annihilator cannot lie in Y"
-        assert is_best_coapprox(space, y, witness, origin)
+        if coordinates(y, witness) is not None:
+            raise Discrepancy("a norming-set annihilator lies in Y")
+        if not is_best_coapprox(space, y, witness, origin):
+            raise Discrepancy("0 is not a best coapproximation to the norming-set annihilator")
         return AntiResult(
             status="no",
             rank=jy_rank,
@@ -357,9 +360,11 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
         if other != g:
             rows.append((other + (ONE,), "<=", ONE))
     res = lp_solve(LpProblem(objective=unit(n + 1, n), constraints=tuple(rows)), "max")
-    assert res.status == "optimal" and res.value > 0, "facets have nonempty interior"
+    if res.status != "optimal" or res.value <= 0:
+        raise Discrepancy("the missed facet has no interior point")
     point = res.point[:n]
-    assert coordinates(y, point) is None, "a missed facet's interior avoids Y"
+    if coordinates(y, point) is not None:
+        raise Discrepancy("an interior point of the missed facet lies in Y")
     eps0 = max(
         abs(dot(other, point))
         for other in space.dual_extreme

@@ -54,6 +54,10 @@ class SpaceTooLarge(CoapproxError):
     """A builder would have to enumerate more than 2^12 extreme objects."""
 
 
+class Discrepancy(RuntimeError):
+    """Two routes to the same answer disagree, or a certificate fails its recheck."""
+
+
 class BudgetExceeded(RuntimeError):
     """The witness-combination count of a search exceeds the configured cap."""
 

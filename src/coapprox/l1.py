@@ -9,9 +9,9 @@ arrangement; it is unique exactly when no component is zero, and its size is
 bounded by the number of cells, 2 * (C(n-1,0) + ... + C(n-1,m-1)) < 2^n.
 
 That strict gap is the reason no proper subspace of the sum-norm space is
-strongly anti-coproximinal, which ``l1_never_strongly_anti`` rechecks against
-the generic engine.  Coordinates are 1-based throughout, as in the max-norm
-module.
+strongly anti-coproximinal, which ``classify(..., verify=True)`` rechecks
+against the generic engine.  Coordinates are 1-based throughout, as in the
+max-norm module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .coapproximation import CoapproxResult, is_strongly_anti_coproximinal
+from .coapproximation import CoapproxResult
 from .errors import NonEmptyZeroSet
 from .linalg import (
     Vector,
@@ -32,8 +32,7 @@ from .linalg import (
     unit,
     vec,
 )
-from .spaces import make_l1
-from .subspaces import Subspace, embed, require_proper, subspace
+from .subspaces import embed, require_proper, subspace
 
 
 def cell_bound(n: int, m: int) -> int:
@@ -178,60 +177,12 @@ def l1_best_coapprox(a_rows, b) -> CoapproxResult:
     return CoapproxResult(exists=True, y0=embed(y, alpha), alpha=alpha, region=region)
 
 
-@dataclass(frozen=True)
-class NoStrongReport:
-    """Checked confirmation that span A is not strongly anti-coproximinal.
-
-    ``norming_size`` is None when the zero set is nonempty (the norming set
-    is then not unique and the subspace is not even anti-coproximinal).  The
-    cell bound 2 * sum_{k<m} C(n-1, k) is always strictly below 2^n, and the
-    generic engine's verdict with its missed facet is recorded.
-    """
-
-    n: int
-    m: int
-    zero: tuple[int, ...]
-    norming_size: int | None
-    bound: int
-    total_sign_vectors: int
-    generic_status: str
-    missed_facet: Vector | None
-
-
-def l1_never_strongly_anti(a_rows) -> NoStrongReport:
-    """Confirm the no-strong verdict for span A against the generic engine."""
-    basis = subspace(a_rows).basis
-    m, n = len(basis), len(basis[0])
-    require_proper(m, n)
-    zeros_found = zero_set(a_rows)
-    bound = cell_bound(n, m)
-    size: int | None = None
-    if not zeros_found:
-        size = minimal_norming_set(a_rows).size
-        assert size <= bound
-    assert bound < 2**n
-    generic = is_strongly_anti_coproximinal(make_l1(n), Subspace(basis=basis))
-    assert generic.status == "no", "no subspace of the sum-norm space is strongly anti-coproximinal"
-    return NoStrongReport(
-        n=n,
-        m=m,
-        zero=tuple(sorted(zeros_found)),
-        norming_size=size,
-        bound=bound,
-        total_sign_vectors=2**n,
-        generic_status=generic.status,
-        missed_facet=generic.missed,
-    )
-
-
 __all__ = [
     "L1AntiResult",
-    "NoStrongReport",
     "NormingSet",
     "cell_bound",
     "l1_best_coapprox",
     "l1_is_anti_coproximinal",
-    "l1_never_strongly_anti",
     "minimal_norming_set",
     "zero_set",
 ]

@@ -11,10 +11,11 @@ holds on the facets, and a "some y in Y" test once it holds at some vertex;
 the full face lattice (``InducedBall.faces``) is only kept for reference.
 
 A facet of B_Y with row r has D = {g : g restricted to the basis equals r}
-(the facet affinely spans the slab where r is 1), which gives a conversion-only
-route to the norming-functional set of Y and to smooth-density; the public
-``jy_set`` decides each extreme functional by one strict linear system
-instead, and the two are cross-checked in the test suite.
+(the facet affinely spans the slab where r is 1), so ``jy_set_via_faces``
+reads the norming-functional set of Y, and smooth-density, off the one
+conversion pass; the classifiers and the CLI answer from it.  ``jy_set``
+decides each extreme functional by one strict linear system instead and
+serves as the oracle of ``jy --verify`` and of the test suite.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from functools import wraps
 from math import comb
 
 import coapprox as ca
+from coapprox.l1 import cell_bound
 from coapprox.linalg import dot
 
 import conftest
@@ -160,10 +161,10 @@ def test_l1_never_strong_suite():
         rows = independent_basis(rng, n, m)
         if ca.zero_set(rows):
             continue
-        rep = ca.l1_never_strongly_anti(rows)
-        assert rep.generic_status == "no"
-        assert rep.bound == 2 * sum(comb(n - 1, k) for k in range(m))
-        assert rep.norming_size <= rep.bound < 2**n
+        generic = ca.is_strongly_anti_coproximinal(ca.make_l1(n), ca.subspace(rows))
+        assert generic.status == "no"
+        assert cell_bound(n, m) == 2 * sum(comb(n - 1, k) for k in range(m))
+        assert ca.minimal_norming_set(rows).size <= cell_bound(n, m) < 2**n
         checked += 1
 
 

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import coapprox as ca
+import coapprox.classification
 import coapprox.cli as cli
 
 from conftest import prism_vertices
+from test_subspaces import _assert_smooth_unit_normers
 
 F = Fraction
 
@@ -158,6 +161,23 @@ class TestHappyPaths:
         assert code == 0
         assert out["size"] == 8
 
+    def test_jy_witnesses_recheck(self, capsys, prism, prism_tilted):
+        cases = (
+            (prism, prism_tilted, prism_space_json(), '[["3/4","-1/4","1"],["-3/4","-1/4","1"]]'),
+            (ca.make_l1(4), ca.subspace([(1, 2, 0, -1), (0, 1, 3, 1)]),
+             '{"type":"l1","n":4}', "[[1,2,0,-1],[0,1,3,1]]"),
+        )
+        for space, y, space_json, basis in cases:
+            code, out = run(capsys, "jy", "--space", space_json, "--basis", basis)
+            assert code == 0
+            jy = ca.JYSet(
+                indices=tuple(out["indices"]),
+                functionals=tuple(tuple(F(c) for c in g) for g in out["functionals"]),
+                witnesses=tuple(tuple(F(c) for c in w) for w in out["witnesses"]),
+            )
+            assert jy.size == out["size"] > 0
+            _assert_smooth_unit_normers(space, y, jy)
+
 
 class TestDocumentInput:
     def test_reads_a_document_from_stdin(self, capsys, monkeypatch):
@@ -234,6 +254,22 @@ class TestExitCodes:
         assert code == 3
         assert out["error"]["type"] == "VerifyDiscrepancy"
 
+    def test_jy_route_disagreement_is_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "jy_set", lambda sp, y: ca.JYSet((), (), ()))
+        code, out = run(
+            capsys, "jy", "--space", prism_space_json(),
+            "--basis", '[["7/8","1/8","1"],["7/8","-1/8","1"]]', "--verify",
+        )
+        assert code == 3
+        assert out["error"]["type"] == "VerifyDiscrepancy"
+
+    def test_classify_fast_path_disagreement_is_three(self, capsys, monkeypatch):
+        lie = ca.LinfClassification(strongly_anti=False, failing_index=1, failing_clause="star")
+        monkeypatch.setattr(coapprox.classification, "linf_classify", lambda rows: lie)
+        code, out = run(capsys, "classify", "--space", LINF3, "--basis", WIDE, "--verify")
+        assert code == 3
+        assert out["error"]["type"] == "VerifyDiscrepancy"
+
     def test_classification_dimension_error_is_one(self, capsys):
         code, out = run(
             capsys, "classify",
@@ -280,8 +316,6 @@ class TestFormatting:
 
 
 def ca_defect_reference():
-    import coapprox as ca
-
     return ca.eps_coapprox_defect(
         ca.make_linf(3),
         ca.subspace([(1, 1, 2), (2, 2, 1)]),

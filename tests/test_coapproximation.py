@@ -1,6 +1,10 @@
 """Best coapproximation: membership test, solver, defect, classification."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,57 @@ class TestAntiClassification:
             ca.is_anti_coproximinal(
                 linf3, ca.subspace([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
             )
+
+
+_RECHECK_SCRIPT = """
+import coapprox as ca
+import coapprox.coapproximation as co
+from coapprox.linalg import LpResult
+
+space, y = ca.make_linf(3), ca.subspace([(1, 0, 0), (0, 1, 0)])
+lp_solve, coordinates = co.lp_solve, co.coordinates
+
+
+def attempt(label, call):
+    try:
+        call()
+    except ca.Discrepancy:
+        print(label, "Discrepancy")
+    else:
+        print(label, "answered")
+
+
+print(__debug__)
+co.is_best_coapprox = lambda *args: False
+attempt("anti-witness", lambda: co.is_anti_coproximinal(space, y))
+co.lp_solve = lambda problem, sense: LpResult(status="infeasible")
+attempt("strong-interior", lambda: co.is_strongly_anti_coproximinal(space, y))
+co.lp_solve = lp_solve
+co.coordinates = lambda sub, x: coordinates(sub, x) or ()
+attempt("strong-outside", lambda: co.is_strongly_anti_coproximinal(space, y))
+"""
+
+
+class TestCertificateRechecks:
+    def test_rechecks_survive_optimized_mode(self):
+        # span(e1, e2) in the max norm is smooth-dense with a rank-2 norming
+        # set, so both classifiers reach their certificate rechecks; under
+        # python -O, asserts would let a failed recheck answer silently
+        src = str(Path(ca.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _RECHECK_SCRIPT],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "False",
+            "anti-witness Discrepancy",
+            "strong-interior Discrepancy",
+            "strong-outside Discrepancy",
+        ]
 
 
 class TestStrongClassification:

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import coapprox as ca
+from coapprox.l1 import cell_bound
 from coapprox.linalg import dot, neg
 
 from conftest import L1_BASIS, independent_basis, rational_point, seeded
@@ -164,20 +165,19 @@ class TestL1BestCoapprox:
 
 class TestNeverStronglyAnti:
     def test_fixture_report(self):
-        rep = ca.l1_never_strongly_anti(L1_BASIS)
-        assert rep.n == 3 and rep.m == 2
-        assert rep.zero == ()
-        assert rep.norming_size == 6
-        assert rep.bound == 2 * (comb(2, 0) + comb(2, 1)) == 6
-        assert rep.total_sign_vectors == 8
-        assert rep.generic_status == "no"
-        assert rep.missed_facet is not None
+        result = ca.classify(ca.make_l1(3), ca.subspace(L1_BASIS), verify=True)
+        cert = result.certificates
+        assert cert["norming_size"] == 6
+        assert cert["bound"] == cell_bound(3, 2) == 2 * (comb(2, 0) + comb(2, 1)) == 6
+        assert cert["sign_vectors"] == 8
+        assert result.strongly_anti == result.generic.strongly_anti == "no"
+        assert result.generic.certificates["missed_facet"] is not None
 
     def test_zero_set_case_still_reports_no(self):
-        rep = ca.l1_never_strongly_anti([(0, 1, 0), (0, 0, 1)])
-        assert rep.generic_status == "no"
-        assert rep.zero == (1,)
-        assert rep.norming_size is None
+        result = ca.classify(ca.make_l1(3), ca.subspace([(0, 1, 0), (0, 0, 1)]), verify=True)
+        assert result.generic.strongly_anti == "no"
+        assert result.certificates["reason"] == "zero-set"
+        assert "norming_size" not in result.certificates
 
     def test_bound_formula_on_random_bases(self):
         rng = seeded(139)
@@ -188,9 +188,9 @@ class TestNeverStronglyAnti:
             rows = independent_basis(rng, n, m)
             if ca.zero_set(rows):
                 continue
-            rep = ca.l1_never_strongly_anti(rows)
-            expected = 2 * sum(comb(n - 1, k) for k in range(m))
-            assert rep.bound == expected
-            assert rep.norming_size <= rep.bound < 2**n
-            assert rep.generic_status == "no"
+            result = ca.classify(ca.make_l1(n), ca.subspace(rows), verify=True)
+            cert = result.certificates
+            assert cert["bound"] == cell_bound(n, m) == 2 * sum(comb(n - 1, k) for k in range(m))
+            assert cert["norming_size"] <= cert["bound"] < cert["sign_vectors"] == 2**n
+            assert result.generic.strongly_anti == "no"
             checked += 1
