@@ -5,8 +5,7 @@ of the max norm, the norming-set conditions of the sum norm, and otherwise
 the generic engine on the norming-functional set J_Y.  Each verdict comes
 with the certificates its engine produced.  Under ``verify`` the generic
 engine re-runs on the two named families and any disagreement raises
-``Discrepancy``; a generic "undecided" on plain anti-coproximinality is not
-a disagreement.
+``Discrepancy``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .subspaces import Subspace
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdicts "yes", "no" or "undecided" with the engine that gave them.
+    """Verdicts "yes" or "no" with the engine that gave them.
 
     ``engine`` is "linf-fast", "l1-fast" or "generic"; ``certificates``
     holds that engine's witnesses.  ``generic`` is the generic engine's own
@@ -65,8 +64,8 @@ def _l1(y: Subspace) -> Classification:
     return Classification(anti.status, "no", "l1-fast", certificates)
 
 
-def _generic(space: PolyhedralSpace, y: Subspace, seed: int) -> Classification:
-    anti = is_anti_coproximinal(space, y, seed=seed)
+def _generic(space: PolyhedralSpace, y: Subspace) -> Classification:
+    anti = is_anti_coproximinal(space, y)
     strong = is_strongly_anti_coproximinal(space, y)
     certificates: dict = {
         "jy_size": strong.jy.size,
@@ -84,12 +83,11 @@ def _generic(space: PolyhedralSpace, y: Subspace, seed: int) -> Classification:
     return Classification(anti.status, strong.status, "generic", certificates)
 
 
-def classify(space: PolyhedralSpace, y: Subspace, verify: bool = False, seed: int = 0) -> Classification:
+def classify(space: PolyhedralSpace, y: Subspace, verify: bool = False) -> Classification:
     """Is Y (strongly) anti-coproximinal in the space?
 
     The max-norm and sum-norm spaces take their fast paths, every other
-    space the generic engine; ``seed`` drives the generic engine's search
-    for witnesses when its rank criterion is not decisive.
+    space the generic engine.
     """
     if y.ambient_dim != space.dim:
         raise ValueError("basis rows do not match the space dimension")
@@ -98,16 +96,16 @@ def classify(space: PolyhedralSpace, y: Subspace, verify: bool = False, seed: in
     elif space.kind == "l1":
         fast = _l1(y)
     else:
-        return _generic(space, y, seed)
+        return _generic(space, y)
     if not verify:
         return fast
-    generic = _generic(space, y, seed)
+    generic = _generic(space, y)
     if generic.strongly_anti != fast.strongly_anti:
         raise Discrepancy(
             f"fast path says strongly_anti={fast.strongly_anti}, "
             f"generic says {generic.strongly_anti}"
         )
-    if generic.anti != "undecided" and generic.anti != fast.anti:
+    if generic.anti != fast.anti:
         raise Discrepancy(f"fast path says anti={fast.anti}, generic says {generic.anti}")
     return replace(fast, generic=generic)
 

@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 malformed input or domain error, 2 search budget
 exceeded, 3 a cross-check under --verify or a certificate recheck failed.
 
 The request may also arrive on stdin as one JSON document with keys space,
-basis, point, points, y0, epsilon, budget, seed, verify; stdin is read only
-when neither --space nor --basis is given, and explicit flags win over the
-document's fields.
+basis, point, points, y0, epsilon, budget, verify (any other key is an
+error); stdin is read only when neither --space nor --basis is given, and
+explicit flags win over the document's fields.
 """
 
 from __future__ import annotations
@@ -133,7 +133,6 @@ class Request:
     y0: tuple | None = None
     epsilon: Fraction | None = None
     budget: int = 10**6
-    seed: int = 0
     verify: bool = False
 
     def need_space(self) -> PolyhedralSpace:
@@ -173,6 +172,9 @@ def _gather(args) -> Request:
             doc = _loads(text)
             if not isinstance(doc, dict):
                 raise ValueError("stdin request must be a JSON object")
+            unknown = set(doc) - {"space", "basis", "point", "points", "y0", "epsilon", "budget", "verify"}
+            if unknown:
+                raise ValueError(f"unknown request key(s): {', '.join(sorted(unknown))}")
 
     req = Request()
     space_spec = args.space if args.space is not None else doc.get("space")
@@ -200,9 +202,6 @@ def _gather(args) -> Request:
     budget = args.budget if args.budget is not None else doc.get("budget")
     if budget is not None:
         req.budget = int(budget)
-    seed = args.seed if args.seed is not None else doc.get("seed")
-    if seed is not None:
-        req.seed = int(seed)
     req.verify = bool(args.verify or doc.get("verify", False))
     return req
 
@@ -283,7 +282,7 @@ def _cmd_defect(req: Request) -> dict:
 
 
 def _cmd_classify(req: Request) -> dict:
-    result = classify(req.need_space(), req.need_subspace(), verify=req.verify, seed=req.seed)
+    result = classify(req.need_space(), req.need_subspace(), verify=req.verify)
     out = {"anti": result.anti, "strongly_anti": result.strongly_anti,
            "engine": result.engine, "certificates": result.certificates}
     if result.generic is not None:
@@ -376,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--y0", help="candidate point of the subspace as a JSON array")
         p.add_argument("--epsilon", help='rational in [0,1), e.g. "1/2"')
         p.add_argument("--budget", type=int, help="witness-system cap for best-coapprox")
-        p.add_argument("--seed", type=int, help="seed for randomized sub-searches")
         p.add_argument("--verify", action="store_true", help="cross-check against a second route")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
     return parser

@@ -16,15 +16,17 @@ is the least epsilon for which y0 is an epsilon-best coapproximation.
 Subspace classification rests on the norming-functional set: full rank makes
 the subspace anti-coproximinal (no x outside Y has any best coapproximation),
 meeting the interior of every facet of B_X makes it strongly so (no x outside
-Y has an epsilon-best coapproximation for any epsilon < 1).
+Y has an epsilon-best coapproximation for any epsilon < 1).  Where the rank
+is short and smooth points are not dense in Y, the solver's search over
+x - y0 with y0 = 0 decides anti-coproximinality exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     DegenerateQuery,
@@ -66,7 +68,7 @@ from .subspaces import (
 )
 
 
-_ANTI_SAMPLES = 25  # random points tried when the rank criterion is not decisive
+_ANTI_LP_CAP = 10**4  # LP calls of the anti-coproximinality search before BudgetExceeded
 
 
 def epsilon_value(eps) -> Fraction:
@@ -175,75 +177,81 @@ class CoapproxResult:
     failed_face: int | None = None
 
 
+def _facet_classes(space: PolyhedralSpace, y: Subspace) -> list[tuple[int, tuple[Vector, ...]]]:
+    """One facet of B_Y per +- pair, as (row index, functionals of its dual face).
+
+    Opposite facets carry negated dual faces and yield the same conditions.
+    """
+    ball = induced_ball(space, y)
+    classes = []
+    seen: set[Vector] = set()
+    for idx, (row, dual) in enumerate(zip(ball.facet_rows, ball.facet_dual)):
+        if neg(row) not in seen:
+            seen.add(row)
+            classes.append((idx, tuple(space.dual_extreme[i] for i in dual)))
+    return classes
+
+
+def _straddle_search(classes, pair_rows, system: list[Constraint], width: int):
+    """Depth-first choice of one witness pair (g-, g+) per facet class.
+
+    ``system`` holds the caller's starting rows, ``pair_rows(g-, g+)`` the two
+    rows a choice adds.  Every feasible prefix of choices yields (level, one
+    solution); infeasible ones are pruned.  At level == len(classes),
+    ``system`` is the complete system until the search resumes.
+    """
+
+    def descend(level: int):
+        for g_minus, g_plus in itertools.product(classes[level][1], repeat=2):
+            system.extend(pair_rows(g_minus, g_plus))
+            res = lp_solve(LpProblem(objective=zeros(width), constraints=tuple(system)), "max")
+            if res.status == "optimal":
+                yield level + 1, res.point
+                if level + 1 < len(classes):
+                    yield from descend(level + 1)
+            del system[-2:]
+
+    return descend(0)
+
+
 def solve_best_coapprox(
     space: PolyhedralSpace, y: Subspace, x, budget: int = 10**6
 ) -> CoapproxResult:
     """Find all best coapproximations to x out of Y by witness enumeration.
 
-    For each facet class of B_Y (one representative per +- pair: opposite
-    faces carry negated dual faces and yield the same conditions), choose a
-    witness pair (g-, g+) from its dual face with <g-, x - y0> <= 0 and
-    <g+, x - y0> >= 0; facet conditions imply all subface conditions because
-    dual faces only grow toward smaller faces.  Each complete choice is a
-    linear feasibility problem in the basis coordinates of y0, explored
-    depth-first with infeasible prefixes pruned.  The total choice count is
-    capped by ``budget``.
+    For each facet class of B_Y, choose a witness pair (g-, g+) from its dual
+    face with <g-, x - y0> <= 0 and <g+, x - y0> >= 0; facet conditions imply
+    all subface conditions because dual faces only grow toward smaller faces.
+    Each complete choice is a linear feasibility problem in the basis
+    coordinates of y0, explored depth-first with infeasible prefixes pruned.
+    The total choice count is capped by ``budget``.
     """
     px = vec(x)
-    ball = induced_ball(space, y)
-
-    reps: list[int] = []
-    seen: set[Vector] = set()
-    for idx, row in enumerate(ball.facet_rows):
-        if neg(row) in seen:
-            continue
-        seen.add(row)
-        reps.append(idx)
-
-    duals = [ball.facet_dual[idx] for idx in reps]
-    combos = 1
-    for dual in duals:
-        combos *= len(dual) ** 2
+    classes = _facet_classes(space, y)
+    combos = prod(len(dual) ** 2 for _, dual in classes)
     if combos > budget:
         raise BudgetExceeded(budget, combos)
 
-    m = y.dim
-    feasible_systems: list[tuple[Constraint, ...]] = []
+    def pair_rows(g_minus: Vector, g_plus: Vector) -> tuple[Constraint, Constraint]:
+        return (restrict(y, g_minus), ">=", dot(g_minus, px)), (restrict(y, g_plus), "<=", dot(g_plus, px))
+
+    system: list[Constraint] = []
+    region: list[tuple[Constraint, ...]] = []
     witness_alpha: Vector | None = None
     deepest = 0
-
-    def feasible(system: list[Constraint]) -> Vector | None:
-        problem = LpProblem(objective=zeros(m), constraints=tuple(system))
-        res = lp_solve(problem, "max")
-        return res.point if res.status == "optimal" else None
-
-    def descend(level: int, system: list[Constraint], point: Vector) -> None:
-        # point is feasible for the current system (checked by the caller)
-        nonlocal witness_alpha, deepest
+    for level, point in _straddle_search(classes, pair_rows, system, y.dim):
         deepest = max(deepest, level)
-        if level == len(reps):
-            feasible_systems.append(tuple(system))
+        if level == len(classes):
+            region.append(tuple(system))
             if witness_alpha is None:
                 witness_alpha = point
-            return
-        for g_minus, g_plus in itertools.product(duals[level], repeat=2):
-            lo = (restrict(y, space.dual_extreme[g_minus]), ">=", dot(space.dual_extreme[g_minus], px))
-            hi = (restrict(y, space.dual_extreme[g_plus]), "<=", dot(space.dual_extreme[g_plus], px))
-            system.extend((lo, hi))
-            extended = feasible(system)
-            if extended is not None:
-                descend(level + 1, system, extended)
-            system.pop()
-            system.pop()
-
-    descend(0, [], zeros(m))
     if witness_alpha is None:
-        return CoapproxResult(exists=False, failed_face=reps[deepest])
+        return CoapproxResult(exists=False, failed_face=classes[deepest][0])
     return CoapproxResult(
         exists=True,
         y0=embed(y, witness_alpha),
         alpha=witness_alpha,
-        region=tuple(feasible_systems),
+        region=tuple(region),
     )
 
 
@@ -251,10 +259,8 @@ def solve_best_coapprox(
 class AntiResult:
     """Outcome of the anti-coproximinality decision.
 
-    ``status`` is "yes", "no", or "undecided"; a "no" carries a witness pair
-    (x outside Y together with one of its best coapproximations).  "undecided"
-    can only arise when the smooth points of X in Y are not dense in Y, where
-    the rank criterion is only sufficient.
+    ``status`` is "yes" or "no"; a "no" carries a witness pair: x outside Y
+    together with one of its best coapproximations, y0 = 0.
     """
 
     status: str
@@ -265,63 +271,57 @@ class AntiResult:
     witness_y0: Vector | None = None
 
 
-def is_anti_coproximinal(space: PolyhedralSpace, y: Subspace, seed: int = 0) -> AntiResult:
+def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | None:
+    """Some z outside Y to which 0 is a best coapproximation, or None.
+
+    Any x outside Y with a best coapproximation y0 gives z = x - y0.  Such z
+    form a symmetric union of the solver's cones, so each search asks for
+    <w, z> >= 1 with one w of an annihilator basis of Y.
+    """
+    classes = _facet_classes(space, y)
+    calls = itertools.count(1)
+
+    def pair_rows(g_minus: Vector, g_plus: Vector) -> tuple[Constraint, Constraint]:
+        if next(calls) > _ANTI_LP_CAP:
+            raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
+        return (g_minus, "<=", ZERO), (g_plus, ">=", ZERO)
+
+    for w in solve_linear(y.basis, zeros(y.dim)).nullspace:
+        for level, z in _straddle_search(classes, pair_rows, [(w, ">=", ONE)], space.dim):
+            if level == len(classes):
+                return z
+    return None
+
+
+def is_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> AntiResult:
     """Does no x outside Y have a best coapproximation out of Y?
 
     Full rank of the norming-functional set is sufficient in any polyhedral
     space; when the smooth points of X in Y are dense in Y it is also
-    necessary, and a rank-deficient set yields an explicit witness: any
-    nonzero x annihilated by the whole set has 0 as a best coapproximation.
-    Without density, rank deficiency leaves the question open and a seeded
-    randomized search looks for witnesses before reporting "undecided".
+    necessary, and any nonzero x annihilated by the whole set has 0 as a best
+    coapproximation.  Otherwise the straddle search of the solver, run over
+    x with y0 = 0, decides the question exactly.  Every witness is rechecked.
     """
     require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)
     jy_rank = rank(jy.functionals)
     dense = smooth_dense_in(space, y)
     if jy_rank == space.dim:
+        witness = None
+    elif dense:
+        witness = solve_linear(jy.functionals, zeros(jy.size)).nullspace[0]
+    else:
+        witness = _coapproximable_direction(space, y)
+    if witness is None:
         return AntiResult(status="yes", rank=jy_rank, smooth_dense=dense, jy=jy)
-
     origin = zeros(space.dim)
-    ann_rows = jy.functionals if jy.functionals else (zeros(space.dim),)
-    kernel = solve_linear(ann_rows, zeros(len(ann_rows))).nullspace
-    if dense:
-        witness = kernel[0]
-        if coordinates(y, witness) is not None:
-            raise Discrepancy("a norming-set annihilator lies in Y")
-        if not is_best_coapprox(space, y, witness, origin):
-            raise Discrepancy("0 is not a best coapproximation to the norming-set annihilator")
-        return AntiResult(
-            status="no",
-            rank=jy_rank,
-            smooth_dense=True,
-            jy=jy,
-            witness_x=witness,
-            witness_y0=origin,
-        )
-
-    rng = random.Random(seed)
-    candidates = [v for v in kernel if coordinates(y, v) is None]
-    for _ in range(_ANTI_SAMPLES):
-        point = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(space.dim))
-        if not is_zero(point) and coordinates(y, point) is None:
-            candidates.append(point)
-    for x in candidates:
-        if is_best_coapprox(space, y, x, origin):
-            return AntiResult(
-                status="no", rank=jy_rank, smooth_dense=False, jy=jy,
-                witness_x=x, witness_y0=origin,
-            )
-        try:
-            result = solve_best_coapprox(space, y, x, budget=10**4)
-        except BudgetExceeded:
-            continue
-        if result.exists:
-            return AntiResult(
-                status="no", rank=jy_rank, smooth_dense=False, jy=jy,
-                witness_x=x, witness_y0=result.y0,
-            )
-    return AntiResult(status="undecided", rank=jy_rank, smooth_dense=False, jy=jy)
+    if coordinates(y, witness) is not None:
+        raise Discrepancy("the anti-coproximinality witness lies in Y")
+    if not is_best_coapprox(space, y, witness, origin):
+        raise Discrepancy("0 is not a best coapproximation to the anti-coproximinality witness")
+    return AntiResult(
+        status="no", rank=jy_rank, smooth_dense=dense, jy=jy, witness_x=witness, witness_y0=origin
+    )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .errors import Discrepancy
+
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
@@ -391,7 +393,8 @@ def strict_feasibility(c: Matrix) -> Feasibility:
     res = lp_solve(LpProblem(objective=zeros(len(c[0])), constraints=constraints))
     if res.status != "optimal":
         return Feasibility(feasible=False)
-    assert all(dot(row, res.point) > 0 for row in c)
+    if not all(dot(row, res.point) > 0 for row in c):
+        raise Discrepancy("the strict-feasibility witness fails a row")
     return Feasibility(feasible=True, witness=res.point)
 
 

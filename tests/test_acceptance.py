@@ -103,7 +103,11 @@ def test_padded_basis():
     verdict = ca.linf_classify(rows)
     assert not verdict.strongly_anti
     assert verdict.failing_index == 6
-    assert ca.is_anti_coproximinal(ca.make_linf(6), ca.subspace(rows)).status != "yes"
+    space, y = ca.make_linf(6), ca.subspace(rows)
+    anti = ca.is_anti_coproximinal(space, y)
+    assert anti.status == "no"
+    assert not ca.point_in_subspace(y, anti.witness_x)
+    assert ca.is_best_coapprox(space, y, anti.witness_x, anti.witness_y0)
 
 
 @criterion(5, "prism sections: projection formula, anti-only middle, strong top", 30.0)

@@ -7,7 +7,7 @@ import coapprox.classification as classification
 from coapprox.l1 import L1AntiResult
 from coapprox.linf import LinfClassification
 
-from conftest import L1_BASIS, NARROW_BASIS
+from conftest import L1_BASIS, NARROW_BASIS, independent_basis, seeded
 
 WIDE3 = ((3, 0, 2), (0, 3, 2))
 
@@ -92,14 +92,18 @@ class TestVerify:
         with pytest.raises(ca.Discrepancy, match="anti=no"):
             ca.classify(l1_3, y, verify=True)
 
-    def test_seed_reaches_the_generic_engine(self, linf3, monkeypatch):
-        seen = []
-        original = classification.is_anti_coproximinal
-
-        def recording(space, y, seed=0):
-            seen.append(seed)
-            return original(space, y, seed=seed)
-
-        monkeypatch.setattr(classification, "is_anti_coproximinal", recording)
-        ca.classify(linf3, ca.subspace(NARROW_BASIS), verify=True, seed=17)
-        assert seen == [17]
+    def test_search_branch_agrees_with_the_fast_paths(self):
+        # spans with entries in {-1, 0, 1} often have a short J_Y without
+        # smooth density, where only the witness search decides plain
+        # anti-coproximinality; the fast paths decide it independently
+        rng = seeded(241)
+        searched = 0
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            space = rng.choice((ca.make_linf, ca.make_l1))(n)
+            y = ca.subspace(independent_basis(rng, n, rng.randint(2, n - 1), -1, 1))
+            result = ca.classify(space, y, verify=True)
+            assert result.generic.anti == result.anti
+            certificates = result.generic.certificates
+            searched += certificates["rank"] < n and not certificates["smooth_dense"]
+        assert searched >= 10

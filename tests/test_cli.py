@@ -134,6 +134,15 @@ class TestHappyPaths:
         assert out["anti"] == "yes" and out["strongly_anti"] == "no"
         assert out["certificates"]["jy_size"] == 6
 
+    def test_classify_decides_the_gap_the_rank_criterion_leaves(self, capsys):
+        # the fixture of TestAntiClassification: short J_Y, not smooth-dense
+        verts = [(1, 1, 0), (1, -1, -1), (1, 0, 1), (0, 1, 1), (1, -1, 1)]
+        space = json.dumps({"type": "custom", "vertices": verts + [[-c for c in v] for v in verts]})
+        code, out = run(capsys, "classify", "--space", space, "--basis", "[[0,1,1],[1,0,1]]")
+        assert code == 0
+        assert out["anti"] == "yes"
+        assert out["certificates"]["rank"] == 2 and out["certificates"]["smooth_dense"] is False
+
     def test_star_property(self, capsys):
         code, out = run(capsys, "star-property", "--basis", WIDE)
         assert code == 0
@@ -208,6 +217,13 @@ class TestDocumentInput:
         assert code == 0
         assert out["is_eps_best"] is True and out["epsilon"] == "1/2"
 
+    def test_unknown_key_is_one(self, capsys, monkeypatch):
+        doc = {"space": {"type": "linf", "n": 3}, "basis": [[1, 1, 2], [2, 2, 1]], "seed": 3}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out = run(capsys, "classify")
+        assert code == 1
+        assert "seed" in out["error"]["message"]
+
 
 class TestExitCodes:
     def test_malformed_json_is_one(self, capsys):
@@ -226,6 +242,11 @@ class TestExitCodes:
     def test_unknown_command_is_one(self, capsys):
         code, _ = run(capsys, "no-such-command")
         assert code == 1
+
+    def test_removed_seed_flag_is_one(self, capsys):
+        code, out = run(capsys, "classify", "--space", LINF3, "--basis", NARROW, "--seed", "3")
+        assert code == 1
+        assert out["error"]["type"] == "UsageError"
 
     def test_dimension_mismatch_is_one(self, capsys):
         code, out = run(capsys, "norm", "--space", LINF3, "--point", "[1,0]")

@@ -185,6 +185,20 @@ class TestAntiClassification:
         assert res.witness_x is not None
         assert ca.is_best_coapprox(linf3, narrow, res.witness_x, res.witness_y0)
 
+    def test_search_closes_the_gap_the_rank_criterion_leaves(self):
+        # J_Y = {+-e1, +-e2} has rank 2 < 3 and Y is not smooth-dense, so
+        # neither paper statement decides.  A z with 0 as a best
+        # coapproximation needs, on every facet of B_Y, dual-face values that
+        # straddle zero.  The facets whose dual faces are {+-e1} and {+-e2}
+        # force z = (0, 0, t).  The facets on the rows +-(1, 1) carry e3 and
+        # (1/2, 1/2, 1/2), whose values t and t/2 straddle zero only at
+        # t = 0.  So no z outside Y works and Y is anti-coproximinal.
+        verts = ((1, 1, 0), (1, -1, -1), (1, 0, 1), (0, 1, 1), (1, -1, 1))
+        ball = ca.make_custom(vertices=verts + tuple(neg(v) for v in verts))
+        res = ca.is_anti_coproximinal(ball, ca.subspace([(0, 1, 1), (1, 0, 1)]))
+        assert (res.status, res.rank, res.smooth_dense) == ("yes", 2, False)
+        assert res.witness_x is None
+
     def test_dimension_bounds(self, linf3):
         with pytest.raises(ca.DimensionOutOfRange):
             ca.is_anti_coproximinal(linf3, ca.subspace([(1, 0, 0)]))
@@ -200,7 +214,8 @@ import coapprox.coapproximation as co
 from coapprox.linalg import LpResult
 
 space, y = ca.make_linf(3), ca.subspace([(1, 0, 0), (0, 1, 0)])
-lp_solve, coordinates = co.lp_solve, co.coordinates
+narrow = ca.subspace([(1, 1, 2), (2, 2, 1)])
+lp_solve, coordinates, is_best_coapprox = co.lp_solve, co.coordinates, co.is_best_coapprox
 
 
 def attempt(label, call):
@@ -215,19 +230,23 @@ def attempt(label, call):
 print(__debug__)
 co.is_best_coapprox = lambda *args: False
 attempt("anti-witness", lambda: co.is_anti_coproximinal(space, y))
+attempt("anti-search-witness", lambda: co.is_anti_coproximinal(space, narrow))
 co.lp_solve = lambda problem, sense: LpResult(status="infeasible")
 attempt("strong-interior", lambda: co.is_strongly_anti_coproximinal(space, y))
 co.lp_solve = lp_solve
 co.coordinates = lambda sub, x: coordinates(sub, x) or ()
 attempt("strong-outside", lambda: co.is_strongly_anti_coproximinal(space, y))
+co.is_best_coapprox = is_best_coapprox
+attempt("anti-search-outside", lambda: co.is_anti_coproximinal(space, narrow))
 """
 
 
 class TestCertificateRechecks:
     def test_rechecks_survive_optimized_mode(self):
         # span(e1, e2) in the max norm is smooth-dense with a rank-2 norming
-        # set, so both classifiers reach their certificate rechecks; under
-        # python -O, asserts would let a failed recheck answer silently
+        # set, so both classifiers reach their certificate rechecks, and the
+        # narrow span is neither, so the anti search's witness is rechecked;
+        # under python -O, asserts would let a failed recheck answer silently
         src = str(Path(ca.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))
@@ -240,8 +259,10 @@ class TestCertificateRechecks:
         assert proc.stdout.splitlines() == [
             "False",
             "anti-witness Discrepancy",
+            "anti-search-witness Discrepancy",
             "strong-interior Discrepancy",
             "strong-outside Discrepancy",
+            "anti-search-outside Discrepancy",
         ]
 
 

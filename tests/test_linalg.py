@@ -1,7 +1,11 @@
 """Exact rational linear algebra and LP layer."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +289,35 @@ class TestStrictFeasibility:
                 assert all(dot(row, res.witness) > 0 for row in c)
             else:
                 assert res.witness is None
+
+    def test_witness_recheck_survives_optimized_mode(self):
+        # an LP kernel that reports a non-witness as optimal must not pass
+        # silently under python -O, which strips asserts
+        src = str(Path(ca.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _LYING_KERNEL_SCRIPT],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "Discrepancy"]
+
+
+_LYING_KERNEL_SCRIPT = """
+import coapprox as ca
+import coapprox.linalg as la
+
+print(__debug__)
+la.lp_solve = lambda problem, sense="max": la.LpResult(status="optimal", value=0, point=(0, 0))
+try:
+    la.strict_feasibility(ca.mat([(1, 0), (0, 1)]))
+except ca.Discrepancy:
+    print("Discrepancy")
+else:
+    print("answered")
+"""
 
 
 def _satisfies(cons, point) -> bool:
