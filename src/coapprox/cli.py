@@ -77,7 +77,10 @@ def _reject_float(text: str):
 
 
 def _loads(text: str):
-    return json.loads(text, parse_float=_reject_float)
+    try:
+        return json.loads(text, parse_float=_reject_float)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _vector(value) -> tuple[Fraction, ...]:

@@ -18,7 +18,8 @@ the subspace anti-coproximinal (no x outside Y has any best coapproximation),
 meeting the interior of every facet of B_X makes it strongly so (no x outside
 Y has an epsilon-best coapproximation for any epsilon < 1).  Where the rank
 is short and smooth points are not dense in Y, the solver's search over
-x - y0 with y0 = 0 decides anti-coproximinality exactly.
+x - y0 with y0 = 0 decides anti-coproximinality exactly.  A missed facet of
+B_X is certified by the centroid of its vertices, as J_Y witnesses are on B_Y.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
+    centroid,
     dot,
     fr,
     is_zero,
@@ -49,7 +51,6 @@ from .linalg import (
     rank,
     solve_linear,
     sub,
-    unit,
     vec,
     zeros,
 )
@@ -105,7 +106,8 @@ def bj_orthogonal_lambda_oracle(space: PolyhedralSpace, x, y) -> bool:
     )
     problem = LpProblem(objective=(ZERO, ONE), constraints=constraints)
     res = lp_solve(problem, "min")
-    assert res.status == "optimal", "the envelope LP is feasible and bounded below"
+    if res.status != "optimal":
+        raise Discrepancy("the envelope LP is feasible and bounded below")
     return res.value == norm(space, px)
 
 
@@ -328,10 +330,11 @@ def is_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> AntiResult:
 class StrongResult:
     """Outcome of the strong anti-coproximinality decision.
 
-    A "no" names a facet functional whose facet interior Y misses, an interior
-    point x of that facet, and the certificate epsilon0 < 1: the largest
-    modulus any other extreme functional takes at x.  For that x, 0 is an
-    epsilon0-best coapproximation out of Y.
+    A "no" names a facet functional g whose facet interior Y misses, the
+    centroid of the B_X vertices on the missed facet as interior point x, and
+    the certificate epsilon0 < 1: the largest modulus any extreme functional
+    other than +-g takes at x.  For that x, 0 is an epsilon0-best
+    coapproximation out of Y.
     """
 
     status: str
@@ -345,7 +348,9 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
     """Does no x outside Y have any epsilon-best coapproximation, epsilon < 1?
 
     Holds exactly when the norming-functional set is all of the extreme dual
-    functionals, i.e. Y meets the interior of every facet of B_X.
+    functionals, i.e. Y meets the interior of every facet of B_X.  A "no" is
+    certified without an LP by the vertex centroid of a missed facet, rechecked
+    by exact dot products and to lie outside Y.
     """
     require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)
@@ -354,22 +359,15 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
 
     missed_idx = next(i for i in range(len(space.dual_extreme)) if i not in jy.indices)
     g = space.dual_extreme[missed_idx]
-    n = space.dim
-    rows: list[Constraint] = [(g + (ZERO,), "==", ONE)]
-    for other in space.dual_extreme:
-        if other != g:
-            rows.append((other + (ONE,), "<=", ONE))
-    res = lp_solve(LpProblem(objective=unit(n + 1, n), constraints=tuple(rows)), "max")
-    if res.status != "optimal" or res.value <= 0:
-        raise Discrepancy("the missed facet has no interior point")
-    point = res.point[:n]
+    point = centroid([vert for vert in space.vertices if dot(g, vert) == ONE])
+    values = {other: dot(other, point) for other in space.dual_extreme}
+    if values.pop(g) != ONE:
+        raise Discrepancy("the certificate point is not on the missed facet")
+    if max(values.values()) >= ONE:
+        raise Discrepancy("the certificate point is not interior to the missed facet")
     if coordinates(y, point) is not None:
         raise Discrepancy("an interior point of the missed facet lies in Y")
-    eps0 = max(
-        abs(dot(other, point))
-        for other in space.dual_extreme
-        if other != g and other != neg(g)
-    )
+    eps0 = max(abs(value) for other, value in values.items() if other != neg(g))
     return StrongResult(
         status="no", jy=jy, missed=g, interior_point=point, epsilon0=eps0
     )

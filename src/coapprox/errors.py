@@ -22,10 +22,6 @@ class UnboundedInput(CoapproxError):
     """A facet description defines an unbounded region."""
 
 
-class NotOnBoundary(CoapproxError):
-    """A point expected on the boundary of a polytope is not on it."""
-
-
 class DependentBasis(CoapproxError):
     """Rows offered as a basis are linearly dependent."""
 

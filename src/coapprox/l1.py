@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .coapproximation import CoapproxResult
-from .errors import NonEmptyZeroSet
+from .errors import Discrepancy, NonEmptyZeroSet
 from .linalg import (
     Vector,
     dot,
@@ -171,7 +171,8 @@ def l1_best_coapprox(a_rows, b) -> CoapproxResult:
     sol = solve_linear(system, rhs)
     if sol.kind == "inconsistent":
         return CoapproxResult(exists=False)
-    assert sol.kind == "unique", "a norming set annihilates no nonzero element of Y"
+    if sol.kind != "unique":
+        raise Discrepancy("a norming set annihilates no nonzero element of Y")
     alpha = sol.particular
     region = (tuple((row, "==", value) for row, value in zip(system, rhs)),)
     return CoapproxResult(exists=True, y0=embed(y, alpha), alpha=alpha, region=region)

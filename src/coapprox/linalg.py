@@ -80,6 +80,11 @@ def neg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
+def centroid(points) -> Vector:
+    """The average of a nonempty list of points."""
+    return tuple(sum(col, start=ZERO) / len(points) for col in zip(*points, strict=True))
+
+
 def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
@@ -343,7 +348,8 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
         for c in art_cols:
             cost[c] = ONE
         status = _run_simplex(rows, basis, cost)
-        assert status == "optimal", "phase one cannot be unbounded"
+        if status != "optimal":
+            raise Discrepancy("phase one cannot be unbounded")
         if -cost[-1] > 0:
             return LpResult(status="infeasible")
         for i in range(len(rows) - 1, -1, -1):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DegenerateInput, NotOnBoundary, UnboundedInput
+from .errors import DegenerateInput, Discrepancy, UnboundedInput
 from .linalg import (
     ONE,
     Vector,
@@ -60,12 +60,10 @@ class HRep:
 class FaceDescriptor:
     """A nonempty proper face, recorded combinatorially.
 
-    ``active`` holds the indices of all facets containing the face,
-    ``vertices`` the indices of all polytope vertices on it, and ``dim`` its
-    affine dimension.
+    ``vertices`` holds the indices of all polytope vertices on it and
+    ``dim`` its affine dimension.
     """
 
-    active: frozenset[int]
     vertices: frozenset[int]
     dim: int
 
@@ -100,7 +98,8 @@ def _initial_rays(rows: list[Vector], d: int) -> tuple[list[int], list[Vector]]:
     b = tuple(basis)
     for j in range(d):
         sol = solve_linear(b, tuple(ONE if k == j else ZERO for k in range(d)))
-        assert sol.kind == "unique"
+        if sol.kind != "unique":
+            raise Discrepancy("independent rows give a unique inverse column")
         cols.append(sol.particular)
     return picked, cols
 
@@ -250,7 +249,8 @@ def enumerate_faces(v: VRep, h: HRep) -> tuple[FaceDescriptor, ...]:
         frozenset(i for i, p in enumerate(v.vertices) if dot(f, p) == ONE)
         for f in h.facets
     ]
-    assert all(facet_sets), "every facet must contain at least one vertex"
+    if not all(facet_sets):
+        raise Discrepancy("every facet must contain at least one vertex")
     all_sets: set[frozenset[int]] = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:
@@ -265,27 +265,10 @@ def enumerate_faces(v: VRep, h: HRep) -> tuple[FaceDescriptor, ...]:
 
     faces = []
     for vertset in all_sets:
-        active = frozenset(j for j, fs in enumerate(facet_sets) if vertset <= fs)
         pts = [v.vertices[i] for i in vertset]
-        faces.append(
-            FaceDescriptor(active=active, vertices=vertset, dim=max(affine_rank(pts), 0))
-        )
+        faces.append(FaceDescriptor(vertices=vertset, dim=max(affine_rank(pts), 0)))
     faces.sort(key=lambda f: (f.dim, sorted(f.vertices)))
     return tuple(faces)
-
-
-def relative_interior_membership(face: FaceDescriptor, x, v: VRep, h: HRep) -> bool:
-    """True iff x lies in the relative interior of the given face.
-
-    On the boundary the active facet set determines the face whose relative
-    interior contains x, so membership is an exact set comparison.
-    """
-    point = vec(x)
-    values = [dot(f, point) for f in h.facets]
-    if max(values) != ONE:
-        raise NotOnBoundary("point is not on the boundary of the polytope")
-    active = frozenset(j for j, val in enumerate(values) if val == ONE)
-    return active == face.active
 
 
 def face_census(v: VRep, h: HRep) -> dict[int, int]:
@@ -306,7 +289,6 @@ __all__ = [
     "face_census",
     "h_rep",
     "h_to_v",
-    "relative_interior_membership",
     "symmetric_ball",
     "v_rep",
     "v_to_h",

@@ -21,15 +21,15 @@ serves as the oracle of ``jy --verify`` and of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import BasisMismatch, DependentBasis, DimensionOutOfRange
+from .errors import BasisMismatch, DependentBasis, DimensionOutOfRange, Discrepancy
 from .linalg import (
     Matrix,
     ONE,
     Vector,
     canonical_sorted,
+    centroid,
     dot,
     is_zero,
     mat,
@@ -88,7 +88,8 @@ def coordinates(y: Subspace, x) -> Vector | None:
     sol = solve_linear(transpose(y.basis), point)
     if sol.kind == "inconsistent":
         return None
-    assert sol.kind == "unique", "independent basis rows give unique coordinates"
+    if sol.kind != "unique":
+        raise Discrepancy("independent basis rows give unique coordinates")
     return sol.particular
 
 
@@ -157,9 +158,10 @@ def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
         tuple(i for i, row in enumerate(restricted) if row == facet)
         for facet in facet_rows
     )
-    assert all(facet_dual), "every facet row of B_Y restricts from some dual extreme"
-    for vert in vertices:
-        assert norm(space, embed(y, vert)) == ONE, "B_Y vertices lie on the unit sphere of X"
+    if not all(facet_dual):
+        raise Discrepancy("every facet row of B_Y restricts from some dual extreme")
+    if any(norm(space, embed(y, vert)) != ONE for vert in vertices):
+        raise Discrepancy("B_Y vertices lie on the unit sphere of X")
     return InducedBall(
         space=space,
         subspace=y,
@@ -225,11 +227,7 @@ def jy_set_via_faces(space: PolyhedralSpace, y: Subspace) -> JYSet:
         if len(dual) != 1 or dual[0] in found:
             continue
         on_facet = [vert for vert in ball.vertices if dot(row, vert) == ONE]
-        k = Fraction(1, len(on_facet))
-        centroid = zeros(y.dim)
-        for vert in on_facet:
-            centroid = tuple(c + k * vc for c, vc in zip(centroid, vert))
-        found[dual[0]] = embed(y, centroid)
+        found[dual[0]] = embed(y, centroid(on_facet))
     indices = tuple(sorted(found))
     return JYSet(
         indices=indices,

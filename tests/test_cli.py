@@ -235,6 +235,19 @@ class TestExitCodes:
         assert code == 1
         assert "float" in out["error"]["message"]
 
+    @pytest.mark.parametrize("route", ["point", "space", "stdin"])
+    def test_deeply_nested_json_is_one(self, capsys, monkeypatch, route):
+        deep = "[" * 10**5 + "]" * 10**5
+        argv = {
+            "point": ["norm", "--space", LINF3, "--point", deep],
+            "space": ["norm", "--space", deep, "--point", "[1,0,0]"],
+            "stdin": ["norm"],
+        }[route]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert out["error"] == {"type": "ValueError", "message": "JSON input is nested too deeply"}
+
     def test_missing_argument_is_one(self, capsys):
         code, out = run(capsys, "smooth", "--space", LINF3)
         assert code == 1

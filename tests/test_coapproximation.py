@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import coapprox as ca
+import coapprox.coapproximation
 import coapprox.subspaces
 from coapprox.linalg import add, dot, neg, sub, zeros
 
@@ -209,13 +210,27 @@ class TestAntiClassification:
 
 
 _RECHECK_SCRIPT = """
+from dataclasses import replace
+
 import coapprox as ca
 import coapprox.coapproximation as co
-from coapprox.linalg import LpResult
+import coapprox.l1 as l1
+import coapprox.subspaces as su
 
 space, y = ca.make_linf(3), ca.subspace([(1, 0, 0), (0, 1, 0)])
 narrow = ca.subspace([(1, 1, 2), (2, 2, 1)])
-lp_solve, coordinates, is_best_coapprox = co.lp_solve, co.coordinates, co.is_best_coapprox
+centroid, coordinates, is_best_coapprox = co.centroid, co.coordinates, co.is_best_coapprox
+solve_linear, extreme_subset = su.solve_linear, su.extreme_subset
+
+
+def extra_facet_row(points):
+    rows, vertices = extreme_subset(points)
+    return rows + ((7, 7),), vertices
+
+
+def doubled_vertices(points):
+    rows, vertices = extreme_subset(points)
+    return rows, tuple(tuple(2 * c for c in vert) for vert in vertices)
 
 
 def attempt(label, call):
@@ -231,13 +246,23 @@ print(__debug__)
 co.is_best_coapprox = lambda *args: False
 attempt("anti-witness", lambda: co.is_anti_coproximinal(space, y))
 attempt("anti-search-witness", lambda: co.is_anti_coproximinal(space, narrow))
-co.lp_solve = lambda problem, sense: LpResult(status="infeasible")
+co.centroid = lambda points: points[0]
 attempt("strong-interior", lambda: co.is_strongly_anti_coproximinal(space, y))
-co.lp_solve = lp_solve
+co.centroid = centroid
 co.coordinates = lambda sub, x: coordinates(sub, x) or ()
 attempt("strong-outside", lambda: co.is_strongly_anti_coproximinal(space, y))
 co.is_best_coapprox = is_best_coapprox
 attempt("anti-search-outside", lambda: co.is_anti_coproximinal(space, narrow))
+su.solve_linear = lambda a, b: replace(solve_linear(a, b), kind="affine")
+attempt("coordinates", lambda: su.coordinates(y, (1, 2, 0)))
+su.solve_linear = solve_linear
+for label, patched in (("ball-facet-dual", extra_facet_row), ("ball-vertex-norm", doubled_vertices)):
+    su.induced_ball.cache_clear()
+    su.extreme_subset = patched
+    attempt(label, lambda: su.induced_ball(space, y))
+su.extreme_subset = extreme_subset
+l1.solve_linear = lambda a, b: replace(solve_linear(a, b), kind="affine")
+attempt("l1-unique", lambda: l1.l1_best_coapprox([(0, 1, 1), (-1, 0, 1)], (0, 1, 1)))
 """
 
 
@@ -246,7 +271,10 @@ class TestCertificateRechecks:
         # span(e1, e2) in the max norm is smooth-dense with a rank-2 norming
         # set, so both classifiers reach their certificate rechecks, and the
         # narrow span is neither, so the anti search's witness is rechecked;
-        # under python -O, asserts would let a failed recheck answer silently
+        # under python -O, asserts would let a failed recheck answer silently.
+        # The last four lines corrupt the call that produces a library
+        # invariant (unique coordinates, a dual face per facet of B_Y, unit
+        # vertices of B_Y, a unique sum-norm best coapproximation).
         src = str(Path(ca.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))
@@ -263,6 +291,10 @@ class TestCertificateRechecks:
             "strong-interior Discrepancy",
             "strong-outside Discrepancy",
             "anti-search-outside Discrepancy",
+            "coordinates Discrepancy",
+            "ball-facet-dual Discrepancy",
+            "ball-vertex-norm Discrepancy",
+            "l1-unique Discrepancy",
         ]
 
 
@@ -297,6 +329,42 @@ class TestStrongClassification:
     def test_dimension_bounds(self, linf3):
         with pytest.raises(ca.DimensionOutOfRange):
             ca.is_strongly_anti_coproximinal(linf3, ca.subspace([(1, 1, 1)]))
+
+    def test_no_lp_on_a_cold_ball(self, monkeypatch, prism, prism_tilted, linf3, narrow):
+        def refuse(*args):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(coapprox.coapproximation, "lp_solve", refuse)
+        ca.induced_ball.cache_clear()
+        l1_span = ca.subspace([(1, 0, 1, 2), (0, 1, -1, 1)])
+        for space, y in ((prism, prism_tilted), (linf3, narrow), (ca.make_l1(4), l1_span)):
+            assert ca.is_strongly_anti_coproximinal(space, y).status == "no"
+        ca.induced_ball.cache_clear()
+
+    def test_centroid_certificates_recheck(self, prism, prism_flat, prism_tilted):
+        rng = seeded(233)
+        cases = [(prism, prism_flat), (prism, prism_tilted)]
+        for n in (3, 4, 5, 6):
+            for space in (ca.make_linf(n), ca.make_l1(n)):
+                for _ in range(2):
+                    m = rng.randint(2, n - 1)
+                    cases.append((space, ca.subspace(independent_basis(rng, n, m, -2, 2))))
+        for _ in range(4):
+            space = _random_custom_ball(rng, 4)
+            cases.append((space, ca.subspace(independent_basis(rng, 4, rng.randint(2, 3), -2, 2))))
+        kinds = set()
+        for space, y in cases:
+            res = ca.is_strongly_anti_coproximinal(space, y)
+            if res.status == "yes":
+                continue
+            x, g = res.interior_point, res.missed
+            assert dot(g, x) == 1
+            assert all(dot(other, x) < 1 for other in space.dual_extreme if other != g)
+            assert not ca.point_in_subspace(y, x)
+            assert res.epsilon0 < 1
+            assert ca.eps_coapprox_defect(space, y, x, zeros(space.dim)) <= res.epsilon0
+            kinds.add((space.kind, space.dim))
+        assert {("custom", 3), ("custom", 4), ("linf", 5), ("l1", 6)} <= kinds, kinds
 
 
 class TestConditions:
@@ -378,6 +446,14 @@ class TestFacetsDecide:
                 assert ca.necessary_condition_check(space, y, x) == necessary
                 seen |= {("sufficient", sufficient), ("necessary", necessary)}
         assert len(seen) == 6, seen
+
+
+def _random_custom_ball(rng, n):
+    """A symmetric ball given by a few random integer vertices and their negatives."""
+    while True:
+        points = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + 2)]
+        if ca.rank(ca.mat(points)) == n:
+            return ca.make_custom(vertices=points + [tuple(-c for c in p) for p in points])
 
 
 def _worst_face_gap(space, y, diff):

@@ -1,7 +1,10 @@
-"""Exactness lint: no module of the library can reach for floats or randomness.
+"""Exactness lint: no module of the library can reach for floats, randomness or asserts.
 
 Every decision is exact and deterministic, so a ``random`` import, a float
-literal or a ``float(...)`` call anywhere under the package is a defect.
+literal or a ``float(...)`` call anywhere under the package is a defect.  So
+is an ``assert`` statement: ``python -O`` strips it, and a check that can
+vanish lets a failed invariant answer silently, so checks raise
+``Discrepancy`` instead.
 """
 
 import ast
@@ -23,6 +26,8 @@ def _violations(path):
             yield f"{where}: float literal {node.value!r}"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
             yield f"{where}: float(...) call"
+        elif isinstance(node, ast.Assert):
+            yield f"{where}: assert statement"
 
 
 def test_no_floats_or_randomness_in_the_library():
@@ -33,5 +38,5 @@ def test_no_floats_or_randomness_in_the_library():
 
 def test_the_lint_sees_each_kind_of_violation(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("import random\nfrom random import randint\nx = 0.5\ny = float(1)\n")
-    assert len(list(_violations(bad))) == 4
+    bad.write_text("import random\nfrom random import randint\nx = 0.5\ny = float(1)\nassert x\n")
+    assert len(list(_violations(bad))) == 5

@@ -131,16 +131,3 @@ class TestFaceLattice:
         faces = ca.enumerate_faces(v, h)
         seen = {frozenset(f.vertices) for f in faces}
         assert len(seen) == len(faces)
-
-    def test_relative_interior_membership(self):
-        _, v, h = self.census(prism_vertices())
-        faces = ca.enumerate_faces(v, h)
-        for face in faces:
-            if face.dim == 0:
-                x = v.vertices[next(iter(face.vertices))]
-                assert ca.relative_interior_membership(face, x, v, h)
-            elif face.dim == 1:
-                a, b = (v.vertices[i] for i in sorted(face.vertices))
-                mid = tuple((p + q) / 2 for p, q in zip(a, b))
-                assert ca.relative_interior_membership(face, mid, v, h)
-                assert not ca.relative_interior_membership(face, a, v, h)
