@@ -9,13 +9,14 @@ round-trips through the same parser.
 engine and runs the --verify cross-check; the --verify cross-checks of bj,
 best-coapprox and jy are made here.
 
-Exit codes: 0 success, 1 malformed input or domain error, 2 search budget
-exceeded, 3 a cross-check under --verify or a certificate recheck failed.
+Exit codes: 0 success, 1 malformed input or domain error, 2 the
+anti-coproximinality search of classify exceeded its cap of LP calls, 3 a
+cross-check under --verify or a certificate recheck failed.
 
 The request may also arrive on stdin as one JSON document with keys space,
-basis, point, points, y0, epsilon, budget, verify (any other key is an
-error); stdin is read only when neither --space nor --basis is given, and
-explicit flags win over the document's fields.
+basis, point, points, y0, epsilon, verify (any other key is an error); stdin
+is read only when neither --space nor --basis is given, and explicit flags
+win over the document's fields.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ class Request:
     points: tuple = ()
     y0: tuple | None = None
     epsilon: Fraction | None = None
-    budget: int = 10**6
     verify: bool = False
 
     def need_space(self) -> PolyhedralSpace:
@@ -175,7 +175,7 @@ def _gather(args) -> Request:
             doc = _loads(text)
             if not isinstance(doc, dict):
                 raise ValueError("stdin request must be a JSON object")
-            unknown = set(doc) - {"space", "basis", "point", "points", "y0", "epsilon", "budget", "verify"}
+            unknown = set(doc) - {"space", "basis", "point", "points", "y0", "epsilon", "verify"}
             if unknown:
                 raise ValueError(f"unknown request key(s): {', '.join(sorted(unknown))}")
 
@@ -202,9 +202,6 @@ def _gather(args) -> Request:
     eps = args.epsilon if args.epsilon is not None else doc.get("epsilon")
     if eps is not None:
         req.epsilon = epsilon_value(eps)
-    budget = args.budget if args.budget is not None else doc.get("budget")
-    if budget is not None:
-        req.budget = int(budget)
     req.verify = bool(args.verify or doc.get("verify", False))
     return req
 
@@ -245,12 +242,11 @@ def _cmd_best_coapprox(req: Request) -> dict:
     space = req.need_space()
     y = req.need_subspace()
     x = req.need_point()
-    result = solve_best_coapprox(space, y, x, budget=req.budget)
+    result = solve_best_coapprox(space, y, x)
     out = {"exists": result.exists}
     if result.exists:
         out["y0"] = result.y0
         out["alpha"] = result.alpha
-        out["region_systems"] = len(result.region)
     else:
         out["failed_face"] = result.failed_face
     if req.verify:
@@ -377,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--point", action="append", help="point as a JSON array (repeatable)")
         p.add_argument("--y0", help="candidate point of the subspace as a JSON array")
         p.add_argument("--epsilon", help='rational in [0,1), e.g. "1/2"')
-        p.add_argument("--budget", type=int, help="witness-system cap for best-coapprox")
         p.add_argument("--verify", action="store_true", help="cross-check against a second route")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
     return parser
@@ -400,7 +395,8 @@ def main(argv=None) -> int:
     pretty = bool(args.pretty)
     try:
         request = _gather(args)
-        payload = _COMMANDS[args.command](request)
+        _emit(_COMMANDS[args.command](request), pretty)
+        return 0
     except BudgetExceeded as exc:
         _emit({"error": {"type": "BudgetExceeded", "message": str(exc),
                          "budget": exc.budget, "required": exc.required}}, pretty)
@@ -411,8 +407,6 @@ def main(argv=None) -> int:
     except (CoapproxError, ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, pretty)
         return 1
-    _emit(payload, pretty)
-    return 0
 
 
 if __name__ == "__main__":

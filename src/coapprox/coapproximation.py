@@ -9,17 +9,22 @@ functional in J(y)" because J(y) is a polytope.
 
 A point y0 in Y is a best coapproximation to x exactly when every facet G of
 B_Y admits a functional in conv D(G) vanishing on x - y0, i.e. when the values
-of D(G) on x - y0 straddle zero.  The epsilon-defect replaces "straddle zero"
-by the distance of the value interval from zero, normalized by ||x - y0||; it
-is the least epsilon for which y0 is an epsilon-best coapproximation.
+of D(G) on x - y0 straddle zero.  Every g in D(G) restricts to the same facet
+row r_G on Y, so with y0 = embed(alpha) those values are <g, x> - <r_G, alpha>
+and the condition is an interval, min <g, x> <= <r_G, alpha> <= max <g, x>
+over D(G), linear in alpha: the best coapproximations to x form one
+polyhedron.  The epsilon-defect replaces "straddle zero" by the distance of
+the value interval from zero, normalized by ||x - y0||; it is the least
+epsilon for which y0 is an epsilon-best coapproximation.
 
 Subspace classification rests on the norming-functional set: full rank makes
 the subspace anti-coproximinal (no x outside Y has any best coapproximation),
 meeting the interior of every facet of B_X makes it strongly so (no x outside
 Y has an epsilon-best coapproximation for any epsilon < 1).  Where the rank
-is short and smooth points are not dense in Y, the solver's search over
-x - y0 with y0 = 0 decides anti-coproximinality exactly.  A missed facet of
-B_X is certified by the centroid of its vertices, as J_Y witnesses are on B_Y.
+is short and smooth points are not dense in Y, a depth-first search over
+z = x - y0 with y0 = 0 decides anti-coproximinality exactly.  A missed facet
+of B_X is certified by the centroid of its vertices, as J_Y witnesses are on
+B_Y.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .errors import (
     DegenerateQuery,
@@ -162,20 +166,19 @@ def eps_coapprox_defect(space: PolyhedralSpace, y: Subspace, x, y0) -> Fraction:
 
 @dataclass(frozen=True)
 class CoapproxResult:
-    """Search outcome for best coapproximations of x out of Y.
+    """Outcome of the search for best coapproximations of x out of Y.
 
     When solutions exist, ``y0``/``alpha`` give one witness (ambient and basis
-    coordinates) and ``region`` lists every feasible witness system as
-    constraints on the basis coordinates; their union of solution sets is the
-    full set of best coapproximations.  When none exists, ``failed_face``
-    indexes the facet row of B_Y at which the deepest partial witness system
-    died (a diagnostic, not a certificate of uniqueness).
+    coordinates) and ``region`` is one linear system on the basis coordinates
+    whose solution set is the whole set of best coapproximations.  When none
+    exists, ``failed_face`` indexes the facet row of B_Y whose condition first
+    made the system infeasible (a diagnostic, not a certificate).
     """
 
     exists: bool
     y0: Vector | None = None
     alpha: Vector | None = None
-    region: tuple[tuple[Constraint, ...], ...] = ()
+    region: tuple[Constraint, ...] = ()
     failed_face: int | None = None
 
 
@@ -194,67 +197,29 @@ def _facet_classes(space: PolyhedralSpace, y: Subspace) -> list[tuple[int, tuple
     return classes
 
 
-def _straddle_search(classes, pair_rows, system: list[Constraint], width: int):
-    """Depth-first choice of one witness pair (g-, g+) per facet class.
+def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResult:
+    """Find all best coapproximations to x out of Y as one polyhedron.
 
-    ``system`` holds the caller's starting rows, ``pair_rows(g-, g+)`` the two
-    rows a choice adds.  Every feasible prefix of choices yields (level, one
-    solution); infeasible ones are pruned.  At level == len(classes),
-    ``system`` is the complete system until the search resumes.
-    """
-
-    def descend(level: int):
-        for g_minus, g_plus in itertools.product(classes[level][1], repeat=2):
-            system.extend(pair_rows(g_minus, g_plus))
-            res = lp_solve(LpProblem(objective=zeros(width), constraints=tuple(system)), "max")
-            if res.status == "optimal":
-                yield level + 1, res.point
-                if level + 1 < len(classes):
-                    yield from descend(level + 1)
-            del system[-2:]
-
-    return descend(0)
-
-
-def solve_best_coapprox(
-    space: PolyhedralSpace, y: Subspace, x, budget: int = 10**6
-) -> CoapproxResult:
-    """Find all best coapproximations to x out of Y by witness enumeration.
-
-    For each facet class of B_Y, choose a witness pair (g-, g+) from its dual
-    face with <g-, x - y0> <= 0 and <g+, x - y0> >= 0; facet conditions imply
-    all subface conditions because dual faces only grow toward smaller faces.
-    Each complete choice is a linear feasibility problem in the basis
-    coordinates of y0, explored depth-first with infeasible prefixes pruned.
-    The total choice count is capped by ``budget``.
+    Every functional g of the dual face of a facet G restricts to the facet
+    row r_G, so <g, x - y0> = <g, x> - <r_G, alpha>, and the facet's
+    condition is min <g, x> <= <r_G, alpha> <= max <g, x> over D(G).  Facet
+    conditions imply all subface conditions because dual faces only grow
+    toward smaller faces.  The intervals are added one facet class at a
+    time, with one LP each; the class whose interval first makes the system
+    infeasible is the failed facet.
     """
     px = vec(x)
-    classes = _facet_classes(space, y)
-    combos = prod(len(dual) ** 2 for _, dual in classes)
-    if combos > budget:
-        raise BudgetExceeded(budget, combos)
-
-    def pair_rows(g_minus: Vector, g_plus: Vector) -> tuple[Constraint, Constraint]:
-        return (restrict(y, g_minus), ">=", dot(g_minus, px)), (restrict(y, g_plus), "<=", dot(g_plus, px))
-
     system: list[Constraint] = []
-    region: list[tuple[Constraint, ...]] = []
-    witness_alpha: Vector | None = None
-    deepest = 0
-    for level, point in _straddle_search(classes, pair_rows, system, y.dim):
-        deepest = max(deepest, level)
-        if level == len(classes):
-            region.append(tuple(system))
-            if witness_alpha is None:
-                witness_alpha = point
-    if witness_alpha is None:
-        return CoapproxResult(exists=False, failed_face=classes[deepest][0])
-    return CoapproxResult(
-        exists=True,
-        y0=embed(y, witness_alpha),
-        alpha=witness_alpha,
-        region=tuple(region),
-    )
+    point = None
+    for idx, dual in _facet_classes(space, y):
+        values = [dot(g, px) for g in dual]
+        row = restrict(y, dual[0])
+        system += [(row, ">=", min(values)), (row, "<=", max(values))]
+        res = lp_solve(LpProblem(objective=zeros(y.dim), constraints=tuple(system)), "max")
+        if res.status != "optimal":
+            return CoapproxResult(exists=False, failed_face=idx)
+        point = res.point
+    return CoapproxResult(exists=True, y0=embed(y, point), alpha=point, region=tuple(system))
 
 
 @dataclass(frozen=True)
@@ -277,21 +242,32 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
     """Some z outside Y to which 0 is a best coapproximation, or None.
 
     Any x outside Y with a best coapproximation y0 gives z = x - y0.  Such z
-    form a symmetric union of the solver's cones, so each search asks for
-    <w, z> >= 1 with one w of an annihilator basis of Y.
+    form a symmetric union of cones, one per choice of a pair (g-, g+) from
+    each facet class's dual face with <g-, z> <= 0 <= <g+, z>, so each search
+    asks for <w, z> >= 1 with one w of an annihilator basis of Y and chooses
+    the pairs depth first, pruning infeasible prefixes.  The LP calls are
+    capped at _ANTI_LP_CAP.
     """
     classes = _facet_classes(space, y)
     calls = itertools.count(1)
 
-    def pair_rows(g_minus: Vector, g_plus: Vector) -> tuple[Constraint, Constraint]:
-        if next(calls) > _ANTI_LP_CAP:
-            raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
-        return (g_minus, "<=", ZERO), (g_plus, ">=", ZERO)
+    def descend(system: list[Constraint], level: int) -> Vector | None:
+        for g_minus, g_plus in itertools.product(classes[level][1], repeat=2):
+            if next(calls) > _ANTI_LP_CAP:
+                raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
+            rows = system + [(g_minus, "<=", ZERO), (g_plus, ">=", ZERO)]
+            res = lp_solve(LpProblem(objective=zeros(space.dim), constraints=tuple(rows)), "max")
+            if res.status != "optimal":
+                continue
+            z = res.point if level + 1 == len(classes) else descend(rows, level + 1)
+            if z is not None:
+                return z
+        return None
 
     for w in solve_linear(y.basis, zeros(y.dim)).nullspace:
-        for level, z in _straddle_search(classes, pair_rows, [(w, ">=", ONE)], space.dim):
-            if level == len(classes):
-                return z
+        z = descend([(w, ">=", ONE)], 0)
+        if z is not None:
+            return z
     return None
 
 
@@ -301,8 +277,8 @@ def is_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> AntiResult:
     Full rank of the norming-functional set is sufficient in any polyhedral
     space; when the smooth points of X in Y are dense in Y it is also
     necessary, and any nonzero x annihilated by the whole set has 0 as a best
-    coapproximation.  Otherwise the straddle search of the solver, run over
-    x with y0 = 0, decides the question exactly.  Every witness is rechecked.
+    coapproximation.  Otherwise a straddle search over x with y0 = 0
+    decides the question exactly.  Every witness is rechecked.
     """
     require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)

@@ -174,7 +174,7 @@ def l1_best_coapprox(a_rows, b) -> CoapproxResult:
     if sol.kind != "unique":
         raise Discrepancy("a norming set annihilates no nonzero element of Y")
     alpha = sol.particular
-    region = (tuple((row, "==", value) for row, value in zip(system, rhs)),)
+    region = tuple((row, "==", value) for row, value in zip(system, rhs))
     return CoapproxResult(exists=True, y0=embed(y, alpha), alpha=alpha, region=region)
 
 

@@ -28,7 +28,8 @@ def fr(value) -> Fraction:
 
     Floats are rejected: a float literal has already lost exactness and
     silently accepting one would poison every downstream strict-inequality
-    decision.
+    decision.  Exponent strings are rejected too: Fraction builds 10**exp
+    exactly, so "1e10000000" alone would stall for seconds.
     """
     if isinstance(value, Fraction):
         return value
@@ -37,6 +38,10 @@ def fr(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(
+                f"exponent notation {value!r} is not accepted; write rationals as \"p/q\""
+            )
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number (use int or 'p/q')")
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import coapprox as ca
 import coapprox.classification
+import coapprox.coapproximation
 import coapprox.cli as cli
 
 from conftest import prism_vertices
@@ -77,7 +79,6 @@ class TestHappyPaths:
         assert out["exists"] is True
         assert out["y0"] == ["3", "-2", "0"]
         assert out["alpha"] == ["3", "-2"]
-        assert out["region_systems"] >= 1
 
     def test_best_coapprox_missing(self, capsys):
         code, out = run(
@@ -224,6 +225,14 @@ class TestDocumentInput:
         assert code == 1
         assert "seed" in out["error"]["message"]
 
+    def test_removed_budget_key_is_one(self, capsys, monkeypatch):
+        doc = {"space": {"type": "linf", "n": 3}, "basis": [[1, 1, 2], [2, 2, 1]],
+               "point": [1, -1, 0], "budget": 5}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out = run(capsys, "best-coapprox")
+        assert code == 1
+        assert "budget" in out["error"]["message"]
+
 
 class TestExitCodes:
     def test_malformed_json_is_one(self, capsys):
@@ -269,15 +278,41 @@ class TestExitCodes:
         code, out = run(capsys, "norm", "--space", LINF3, "--point", "[true,0,0]")
         assert code == 1
 
-    def test_budget_exhaustion_is_two(self, capsys):
+    def test_removed_budget_flag_is_one(self, capsys):
         code, out = run(
             capsys, "best-coapprox", "--space", LINF3, "--basis", NARROW,
-            "--point", "[1,-1,0]", "--budget", "1",
+            "--point", "[1,-1,0]", "--budget", "5",
         )
+        assert code == 1
+        assert out["error"]["type"] == "UsageError"
+
+    def test_anti_search_cap_is_two(self, capsys, monkeypatch):
+        # the rank-2 fixture reaches the anti search, whose second LP call
+        # passes a cap of one
+        monkeypatch.setattr(coapprox.coapproximation, "_ANTI_LP_CAP", 1)
+        verts = [(1, 1, 0), (1, -1, -1), (1, 0, 1), (0, 1, 1), (1, -1, 1)]
+        space = json.dumps({"type": "custom", "vertices": verts + [[-c for c in v] for v in verts]})
+        code, out = run(capsys, "classify", "--space", space, "--basis", "[[0,1,1],[1,0,1]]")
         assert code == 2
         assert out["error"]["type"] == "BudgetExceeded"
         assert out["error"]["budget"] == 1
-        assert out["error"]["required"] == 4
+        assert out["error"]["required"] == 2
+
+    def test_output_too_long_for_str_is_one(self, capsys):
+        # the norm is a 5000-digit integer, beyond int-to-str conversion
+        a = "7" * 2500
+        space = json.dumps({"type": "custom", "facets": [[a, 0], ["-" + a, 0], [0, 1], [0, -1]]})
+        code, out = run(capsys, "norm", "--space", space, "--point", json.dumps([a, 0]))
+        assert code == 1
+        assert out["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000"])
+    def test_exponent_string_is_one_at_once(self, capsys, text):
+        start = time.perf_counter()
+        code, out = run(capsys, "norm", "--space", LINF3, "--point", json.dumps([text, 0, 0]))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "p/q" in out["error"]["message"]
 
     def test_engine_disagreement_is_three(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "bj_orthogonal_lambda_oracle", lambda sp, x, y: False)

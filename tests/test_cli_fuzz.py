@@ -77,7 +77,6 @@ def requests(draw):
         "points": draw(st.lists(vectors(n), min_size=1, max_size=2)),
         "y0": draw(st.one_of(st.just(basis[0]), vectors(n))),
         "epsilon": draw(epsilons),
-        "budget": draw(st.integers(0, 40)),
         "verify": draw(st.booleans()),
     }
     wrong = {
@@ -86,7 +85,6 @@ def requests(draw):
         "points": st.one_of(junk, st.lists(wrong_vectors(n), max_size=2)),
         "y0": wrong_vectors(n),
         "epsilon": st.one_of(junk, rationals),
-        "budget": junk,
         "verify": junk,
     }
     faults = (None,) * 8 + tuple(fields) + ("missing", "unknown key", "command", "document")
@@ -111,8 +109,8 @@ def requests(draw):
             elif key == "points" and isinstance(value, list):
                 for point in value:
                     argv += ["--point", json.dumps(point)]
-            elif key in ("epsilon", "budget"):
-                argv += [f"--{key}", str(value)]
+            elif key == "epsilon":
+                argv += ["--epsilon", str(value)]
             else:
                 argv += [f"--{key}", json.dumps(value)]
     if draw(st.booleans()):

@@ -1,5 +1,7 @@
 """Best coapproximation: membership test, solver, defect, classification."""
 
+import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -11,9 +13,11 @@ import pytest
 import coapprox as ca
 import coapprox.coapproximation
 import coapprox.subspaces
-from coapprox.linalg import add, dot, neg, sub, zeros
+from coapprox.coapproximation import _facet_classes
+from coapprox.linalg import LpProblem, add, dot, lp_solve, neg, scale, sub, unit, vec, zeros
 
 from conftest import (
+    L1_BASIS,
     NARROW_BASIS,
     independent_basis,
     nonzero_point,
@@ -111,11 +115,23 @@ class TestSolveBestCoapprox:
             assert not ca.solve_best_coapprox(linf3, wide, x).exists
             checked += 1
 
-    def test_budget_is_enforced(self, linf3, narrow):
-        with pytest.raises(ca.BudgetExceeded) as info:
-            ca.solve_best_coapprox(linf3, narrow, (1, -1, 0), budget=1)
-        assert info.value.budget == 1
-        assert info.value.required == 4
+    def test_at_most_one_lp_per_facet_class(self, monkeypatch, linf3, narrow):
+        calls = []
+
+        def counting(problem, sense):
+            calls.append(problem)
+            return lp_solve(problem, sense)
+
+        monkeypatch.setattr(coapprox.coapproximation, "lp_solve", counting)
+        classes = _facet_classes(linf3, narrow)
+        assert len(classes) == 2
+        ca.solve_best_coapprox(linf3, narrow, (1, -1, 0))
+        assert len(calls) == 2
+        rng = seeded(241)
+        for _ in range(10):
+            calls.clear()
+            ca.solve_best_coapprox(linf3, narrow, rational_point(rng, 3))
+            assert 1 <= len(calls) <= len(classes)
 
     def test_point_inside_subspace_is_its_own_answer(self, prism, prism_flat):
         res = ca.solve_best_coapprox(prism, prism_flat, (2, -1, 0))
@@ -429,11 +445,8 @@ class TestFacetsDecide:
                 if ca.point_in_subspace(y, x):
                     continue
                 y0s = [zeros(n), ca.embed(y, rational_point(rng, y.dim, -2, 2, 2))]
-                try:
-                    solved = ca.solve_best_coapprox(space, y, x, budget=2000)
-                except ca.BudgetExceeded:
-                    solved = None
-                if solved is not None and solved.exists:
+                solved = ca.solve_best_coapprox(space, y, x)
+                if solved.exists:
                     y0s.append(solved.y0)
                 for y0 in y0s:
                     gap = _worst_face_gap(space, y, sub(x, y0))
@@ -446,6 +459,119 @@ class TestFacetsDecide:
                 assert ca.necessary_condition_check(space, y, x) == necessary
                 seen |= {("sufficient", sufficient), ("necessary", necessary)}
         assert len(seen) == 6, seen
+
+
+class TestSolverMatchesThePairSearch:
+    """The interval system decides as the former search over witness pairs did."""
+
+    def test_differential(self, prism, prism_flat, prism_tilted, prism_steep):
+        rng = seeded(251)
+        cases = [(prism, y) for y in (prism_flat, prism_tilted, prism_steep)]
+        for n in (3, 4, 5):
+            for space in (ca.make_linf(n), ca.make_l1(n)):
+                for _ in range(3):
+                    m = rng.randint(1, n - 1)
+                    cases.append((space, ca.subspace(independent_basis(rng, n, m, -2, 2))))
+        for space, bases in _fat_balls():
+            for basis in bases + [independent_basis(rng, 4, rng.randint(2, 3), -1, 1)]:
+                cases.append((space, ca.subspace(basis)))
+        outcomes, widest = set(), 0
+        for space, y in cases:
+            widest = max([widest] + [len(dual) for _, dual in _facet_classes(space, y)])
+            for _ in range(4):
+                x = nonzero_point(rng, space.dim, -3, 3, 2)
+                res = ca.solve_best_coapprox(space, y, x)
+                expected = _pair_search(space, y, x)
+                assert (res.exists, res.failed_face) == expected, (space.kind, y.basis, x)
+                if res.exists:
+                    assert ca.is_best_coapprox(space, y, x, res.y0)
+                    assert res.y0 == ca.embed(y, res.alpha)
+                outcomes.add(res.exists)
+        assert outcomes == {True, False}
+        assert widest >= 4
+
+    def test_region_is_exactly_the_set_of_best_coapproximations(self, prism, prism_flat):
+        rng = seeded(257)
+        cases = [(prism, prism_flat), (ca.make_l1(3), ca.subspace([(1, 0, 0), (0, 1, 0)]))]
+        for _ in range(2):
+            cases.append((ca.make_l1(4), ca.subspace(independent_basis(rng, 4, 2, -1, 1))))
+        cases += [(space, ca.subspace(bases[0])) for space, bases in _fat_balls()]
+        inside = set()
+        for space, y in cases:
+            checked = 0
+            while checked < 3:
+                x = nonzero_point(rng, space.dim, -3, 3, 2)
+                res = ca.solve_best_coapprox(space, y, x)
+                if not res.exists:
+                    continue
+                checked += 1
+                alphas = [res.alpha, rational_point(rng, y.dim, -3, 3, 2)]
+                for k in range(y.dim):
+                    for step in (F(1, 50), F(-1, 50), F(1, 2), F(-1, 2)):
+                        alphas.append(add(res.alpha, scale(unit(y.dim, k), step)))
+                for alpha in alphas:
+                    member = _satisfies(res.region, alpha)
+                    assert member == ca.is_best_coapprox(space, y, x, ca.embed(y, alpha))
+                    inside.add(member)
+        assert inside == {True, False}
+        # the sum-norm route returns its equality system in the same shape
+        fast = ca.l1_best_coapprox(L1_BASIS, (0, 1, 1))
+        assert fast.exists and _satisfies(fast.region, fast.alpha)
+
+
+def _fat_balls():
+    """Custom balls in R^4, each with sections whose facets carry dual faces of 2-4 functionals.
+
+    On the last section of each, the width of those dual faces decides
+    whether x has a best coapproximation at all.
+    """
+    cross = [scale(unit(4, k), s * (k + 1)) for k in range(4) for s in (1, -1)]
+    apexes = [(0, 0, 0, 2), (0, 0, 0, -2)]
+    bipyramid = [p + (0,) for p in itertools.product((1, -1), repeat=3)] + apexes
+    return [
+        (ca.make_custom(vertices=cross),
+         [[(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0)],
+          [(1, 0, 1, 0), (0, 0, 1, 1)]]),
+        (ca.make_custom(vertices=bipyramid),
+         [[(0, 0, 0, 1), (1, 1, 1, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+          [(1, 1, 0, 0), (1, 0, 1, 0)]]),
+    ]
+
+
+def _pair_search(space, y, x):
+    """Reference: the former solver, choosing one witness pair (g-, g+) per facet class.
+
+    Each choice adds <g-, x - y0> <= 0 <= <g+, x - y0> as two rows on the
+    basis coordinates of y0; prefixes are explored depth first and pruned when
+    infeasible.  Returns (exists, failed_face), the latter the facet row of B_Y
+    at which the deepest partial system died.
+    """
+    classes = _facet_classes(space, y)
+    px = vec(x)
+    deepest = 0
+
+    def descend(system, level):
+        nonlocal deepest
+        for g_minus, g_plus in itertools.product(classes[level][1], repeat=2):
+            rows = system + [
+                (ca.restrict(y, g_minus), ">=", dot(g_minus, px)),
+                (ca.restrict(y, g_plus), "<=", dot(g_plus, px)),
+            ]
+            res = lp_solve(LpProblem(objective=zeros(y.dim), constraints=tuple(rows)), "max")
+            if res.status == "optimal":
+                deepest = max(deepest, level + 1)
+                if level + 1 == len(classes) or descend(rows, level + 1):
+                    return True
+        return False
+
+    if descend([], 0):
+        return True, None
+    return False, classes[deepest][0]
+
+
+def _satisfies(system, alpha):
+    ops = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+    return all(ops[op](dot(row, alpha), rhs) for row, op, rhs in system)
 
 
 def _random_custom_ball(rng, n):

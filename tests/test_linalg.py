@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,17 @@ class TestFr:
         # bool is an int subclass, still refused: True is not a rational literal
         with pytest.raises(TypeError):
             ca.fr(True)
+
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "-3E2", "1.5e0"])
+    def test_exponent_string_rejected_at_once(self, text):
+        # Fraction would build 10**exp exactly: seconds of work for 1e7
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="p/q"):
+            ca.fr(text)
+        assert time.perf_counter() - start < 1
+
+    def test_decimal_string_still_exact(self):
+        assert ca.fr("1.25") == F(5, 4)
 
 
 class TestVectorOps:
