@@ -151,15 +151,20 @@ class Request:
     def need_subspace(self) -> Subspace:
         return subspace(self.need_basis())
 
+    def _fits_space(self, label: str, vector: tuple) -> tuple:
+        if self.space is not None and len(vector) != self.space.dim:
+            raise ValueError(f"{label} has dimension {len(vector)}, space has {self.space.dim}")
+        return vector
+
     def need_point(self, k: int = 0) -> tuple:
         if len(self.points) <= k:
             raise ValueError(f"this command needs {k + 1} --point argument(s)")
-        return self.points[k]
+        return self._fits_space("point", self.points[k])
 
     def need_y0(self) -> tuple:
         if self.y0 is None:
             raise ValueError("this command needs --y0")
-        return self.y0
+        return self._fits_space("y0", self.y0)
 
     def need_epsilon(self) -> Fraction:
         if self.epsilon is None:

@@ -12,9 +12,9 @@ by keeping the inputs at which the tight facets have full rank.
 enumerates its extreme rays by the double description method: start from a
 simplicial subcone given by d+1 independent rows, insert the remaining
 half-spaces one at a time, and combine adjacent positive/negative ray pairs on
-each new hyperplane.  Adjacency uses the standard combinatorial test (no third
-ray's zero set contains the intersection of the pair's zero sets).  All
-arithmetic is exact.
+each new hyperplane.  As in Fukuda & Prodon, rays are primitive integer tuples
+that carry their zero sets as bitmasks; a pair is adjacent when its meet has
+popcount >= d-1 and no third ray's mask contains it.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateInput, Discrepancy, UnboundedInput
 from .linalg import (
@@ -68,14 +69,12 @@ class FaceDescriptor:
     dim: int
 
 
-def _primitive(ray: list[Fraction]) -> Vector:
-    """Scale a ray by a positive rational to primitive integer coordinates."""
+def _primitive(ray) -> tuple[int, ...]:
+    """Scale a rational ray by a positive rational to primitive integer coordinates."""
     mult = lcm(*(x.denominator for x in ray))
     ints = [int(x * mult) for x in ray]
     g = gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def _initial_rays(rows: list[Vector], d: int) -> tuple[list[int], list[Vector]]:
@@ -104,40 +103,40 @@ def _initial_rays(rows: list[Vector], d: int) -> tuple[list[int], list[Vector]]:
     return picked, cols
 
 
-def _extreme_rays(rows: list[Vector]) -> list[Vector]:
-    """Extreme rays of the pointed cone {y : <row, y> >= 0 for all rows}."""
+def _extreme_rays(rows: list[Vector]) -> list[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {y : <row, y> >= 0 for all rows}.
+
+    Each ray carries its zero set over the inserted rows (bit i for row i).
+    """
     d = len(rows[0])
-    picked, rays = _initial_rays(rows, d)
-    order = picked + [i for i in range(len(rows)) if i not in picked]
-    processed: list[int] = list(picked)
-
-    def zero_set(ray: Vector) -> frozenset[int]:
-        return frozenset(i for i in processed if dot(rows[i], ray) == 0)
-
-    current = [_primitive(list(r)) for r in rays]
-    for idx in order[d:]:
-        a = rows[idx]
-        vals = {r: dot(a, r) for r in current}
-        plus = [r for r in current if vals[r] > 0]
-        zero = [r for r in current if vals[r] == 0]
-        minus = [r for r in current if vals[r] < 0]
-        if not minus:
-            processed.append(idx)
+    picked, cols = _initial_rays(rows, d)
+    start = sum(1 << i for i in picked)
+    rays = [(_primitive(c), start & ~(1 << i)) for i, c in zip(picked, cols)]
+    for idx, a in enumerate(map(_primitive, rows)):
+        if start >> idx & 1:
             continue
-        zsets = {r: zero_set(r) for r in current}
-        combined: dict[Vector, None] = {}
-        for p in plus:
-            for q in minus:
-                meet = zsets[p] & zsets[q]
-                if any(
-                    meet <= zsets[r] for r in current if r is not p and r is not q
+        bit = 1 << idx
+        plus, zero, minus = [], [], []
+        for ray, mask in rays:
+            val = sum(map(mul, a, ray))
+            if val > 0:
+                plus.append((ray, mask, val))
+            elif val < 0:
+                minus.append((ray, mask, val))
+            else:
+                zero.append((ray, mask | bit))
+        combined: dict[tuple[int, ...], int] = {}
+        for p, pmask, vp in plus:
+            for q, qmask, vq in minus:
+                meet = pmask & qmask
+                if meet.bit_count() < d - 2 or any(
+                    mask & meet == meet for r, mask in rays if r is not p and r is not q
                 ):
                     continue
-                new = [vals[p] * qc - vals[q] * pc for pc, qc in zip(p, q)]
-                combined[_primitive(new)] = None
-        processed.append(idx)
-        current = plus + zero + list(combined)
-    return current
+                new = [vp * qc - vq * pc for pc, qc in zip(p, q)]
+                combined[_primitive(new)] = meet | bit
+        rays = [(p, pmask) for p, pmask, _ in plus] + zero + list(combined.items())
+    return [ray for ray, _ in rays]
 
 
 def conv_facets(points) -> tuple[Vector, ...]:
@@ -152,12 +151,11 @@ def conv_facets(points) -> tuple[Vector, ...]:
     d = len(pts[0])
     rows = [neg(p) + (ONE,) for p in pts]
     rows.append(zeros(d) + (ONE,))
-    rays = _extreme_rays(rows)
     facets = []
-    for ray in rays:
+    for ray in _extreme_rays(rows):
         if ray[d] == 0:
             raise DegenerateInput("origin is not interior to the hull")
-        facets.append(tuple(x / ray[d] for x in ray[:d]))
+        facets.append(tuple(Fraction(x, ray[d]) for x in ray[:d]))
     return canonical_sorted(facets)
 
 

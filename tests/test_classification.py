@@ -107,3 +107,20 @@ class TestVerify:
             certificates = result.generic.certificates
             searched += certificates["rank"] < n and not certificates["smooth_dense"]
         assert searched >= 10
+
+    def test_fast_paths_agree_with_the_generic_engine_at_six_and_seven(self):
+        # the integer double description makes B_Y affordable at n = 6-7,
+        # so both fast paths meet the generic engine there, search branch
+        # included
+        rng = seeded(243)
+        searched = 0
+        for _ in range(16):
+            n = rng.randint(6, 7)
+            space = rng.choice((ca.make_linf, ca.make_l1))(n)
+            y = ca.subspace(independent_basis(rng, n, rng.randint(2, n - 1), -1, 1))
+            result = ca.classify(space, y, verify=True)
+            assert result.generic.anti == result.anti
+            assert result.generic.strongly_anti == result.strongly_anti
+            certificates = result.generic.certificates
+            searched += certificates["rank"] < n and not certificates["smooth_dense"]
+        assert searched >= 4

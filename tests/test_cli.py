@@ -274,6 +274,30 @@ class TestExitCodes:
         code, out = run(capsys, "norm", "--space", LINF3, "--point", "[1,0]")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["bj", "--point", "[1,2,3]", "--point", "[1,2]"], "point has dimension 2, space has 3"),
+            (["eps-bj", "--epsilon", "1/2", "--point", "[1,2,3]", "--point", "[1,2]"],
+             "point has dimension 2, space has 3"),
+            (["best-coapprox", "--basis", NARROW, "--point", "[1,2]"], "point has dimension 2, space has 3"),
+            (["best-coapprox", "--basis", NARROW, "--point", "[1,2,3,4]"],
+             "point has dimension 4, space has 3"),
+            (["defect", "--basis", NARROW, "--point", "[1,2]", "--y0", "[3,3,3]"],
+             "point has dimension 2, space has 3"),
+            (["eps-check", "--epsilon", "1/2", "--basis", NARROW, "--point", "[1,2]", "--y0", "[3,3,3]"],
+             "point has dimension 2, space has 3"),
+            (["defect", "--basis", NARROW, "--point", "[1,2,3]", "--y0", "[3,3]"],
+             "y0 has dimension 2, space has 3"),
+            (["eps-check", "--epsilon", "1/2", "--basis", NARROW, "--point", "[1,2,3]", "--y0", "[3,3]"],
+             "y0 has dimension 2, space has 3"),
+        ],
+    )
+    def test_wrong_point_dimension_is_named(self, capsys, argv, message):
+        code, out = run(capsys, *argv, "--space", LINF3)
+        assert code == 1
+        assert out["error"] == {"type": "ValueError", "message": message}
+
     def test_bool_in_vector_is_one(self, capsys):
         code, out = run(capsys, "norm", "--space", LINF3, "--point", "[true,0,0]")
         assert code == 1

@@ -3,7 +3,8 @@
 Requests draw a subcommand, flags and a stdin document from bounded
 strategies: max-norm, sum-norm and custom spaces in at most four dimensions,
 small integers and "p/q" strings, mixed with wrong-typed values, unknown
-keys, empty arrays and balls that are not symmetric.
+keys, empty arrays, points of the wrong dimension and balls that are not
+symmetric.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import coapprox.cli as cli
 
 COMMANDS = sorted(cli._COMMANDS)
+POINT_COMMANDS = ["best-coapprox", "bj", "defect", "eps-bj", "eps-check", "jset", "norm", "smooth"]
 
 rationals = st.one_of(
     st.integers(-3, 3),
@@ -87,15 +89,24 @@ def requests(draw):
         "epsilon": st.one_of(junk, rationals),
         "verify": junk,
     }
-    faults = (None,) * 8 + tuple(fields) + ("missing", "unknown key", "command", "document")
+    faults = (None,) * 8 + tuple(fields) + ("missing", "unknown key", "command", "document", "length")
     fault = draw(st.sampled_from(faults))
     if fault in wrong:
         fields[fault] = draw(wrong[fault])
+    elif fault == "length":
+        off = draw(st.lists(rationals, min_size=1, max_size=n + 1).filter(lambda v: len(v) != n))
+        if draw(st.booleans()):
+            fields["y0"] = off
+        else:
+            fields["points"][draw(st.integers(0, len(fields["points"]) - 1))] = off
     elif fault == "missing":
         del fields[draw(st.sampled_from(sorted(fields)))]
     elif fault == "unknown key":
         fields["colour"] = draw(junk)
-    argv = [draw(st.text(max_size=4) if fault == "command" else st.sampled_from(COMMANDS))]
+    if fault == "command":
+        argv = [draw(st.text(max_size=4))]
+    else:
+        argv = [draw(st.sampled_from(POINT_COMMANDS if fault == "length" else COMMANDS))]
     if draw(st.booleans()):
         doc = dict(fields)
         if "points" in doc and draw(st.booleans()) and isinstance(doc["points"], list) and doc["points"]:
@@ -142,3 +153,4 @@ def test_every_request_gets_one_json_object_and_a_contract_exit_code(request):
     payload = json.loads(out)
     assert isinstance(payload, dict), out
     assert ("error" in payload) == (code != 0), out
+    assert "zip()" not in out, (argv, stdin, out)
