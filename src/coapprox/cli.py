@@ -122,8 +122,6 @@ def _encode(value):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(_encode(v) for v in value)
     return value
 
 

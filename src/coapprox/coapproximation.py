@@ -58,7 +58,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .spaces import PolyhedralSpace, norm, support_set
+from .spaces import PolyhedralSpace, _checked, norm, support_set
 from .subspaces import (
     JYSet,
     Subspace,
@@ -90,7 +90,8 @@ def bj_orthogonal(space: PolyhedralSpace, x, y) -> bool:
     J(x) is the convex hull of finitely many extreme functionals, so it
     contains an annihilator of y iff their values on y straddle zero.
     """
-    values = [dot(g, vec(y)) for g in support_set(space, x).functionals]
+    py = _checked(space.dim, y)
+    values = [dot(g, py) for g in support_set(space, x).functionals]
     return min(values) <= 0 <= max(values)
 
 
@@ -101,10 +102,10 @@ def bj_orthogonal_lambda_oracle(space: PolyhedralSpace, x, y) -> bool:
     envelope of the extreme functionals) and compares the optimum with ||x||;
     equality means no lambda improves on lambda = 0, which is orthogonality.
     """
-    px = vec(x)
+    px = _checked(space.dim, x)
     if is_zero(px):
         raise ZeroVector("orthogonality requires nonzero x")
-    py = vec(y)
+    py = _checked(space.dim, y)
     constraints = tuple(
         ((dot(g, py), -ONE), "<=", -dot(g, px)) for g in space.dual_extreme
     )
@@ -118,7 +119,7 @@ def bj_orthogonal_lambda_oracle(space: PolyhedralSpace, x, y) -> bool:
 def eps_bj_orthogonal(space: PolyhedralSpace, x, y, eps) -> bool:
     """Approximate orthogonality: some f in J(x) has |f(y)| <= eps * ||y||."""
     epsilon = epsilon_value(eps)
-    py = vec(y)
+    py = _checked(space.dim, y)
     values = [dot(g, py) for g in support_set(space, x).functionals]
     return _gap(values) <= epsilon * norm(space, py)
 
@@ -146,7 +147,7 @@ def is_best_coapprox(space: PolyhedralSpace, y: Subspace, x, y0) -> bool:
     x - y0.
     """
     require_coordinates(y, y0, "y0")
-    diff = sub(vec(x), vec(y0))
+    diff = sub(_checked(space.dim, x), vec(y0))
     return is_zero(diff) or all(gap == 0 for gap in _facet_gaps(space, y, diff))
 
 
@@ -158,7 +159,7 @@ def eps_coapprox_defect(space: PolyhedralSpace, y: Subspace, x, y0) -> Fraction:
     on best coapproximations.
     """
     require_coordinates(y, y0, "y0")
-    diff = sub(vec(x), vec(y0))
+    diff = sub(_checked(space.dim, x), vec(y0))
     if is_zero(diff):
         raise DegenerateQuery("defect is undefined for x = y0")
     return max(_facet_gaps(space, y, diff)) / norm(space, diff)
@@ -208,7 +209,7 @@ def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResul
     time, with one LP each; the class whose interval first makes the system
     infeasible is the failed facet.
     """
-    px = vec(x)
+    px = _checked(space.dim, x)
     system: list[Constraint] = []
     point = None
     for idx, dual in _facet_classes(space, y):
@@ -357,7 +358,7 @@ def sufficient_condition_strong(space: PolyhedralSpace, y: Subspace, x) -> bool:
     facet's dual face is a subset of the support set of x or of -x.  Requires
     x outside Y.
     """
-    px = vec(x)
+    px = _checked(space.dim, x)
     if coordinates(y, px) is not None:
         raise PointInSubspace("the condition is posed for x outside Y")
     supp = frozenset(support_set(space, px).indices)
@@ -375,7 +376,7 @@ def necessary_condition_check(space: PolyhedralSpace, y: Subspace, x) -> bool:
     the check is a finite intersection of index sets, tried at the vertices
     of B_Y, whose support sets are the largest.
     """
-    px = vec(x)
+    px = _checked(space.dim, x)
     if is_zero(px):
         raise ZeroVector("the condition requires nonzero x")
     supp = frozenset(support_set(space, px).indices)

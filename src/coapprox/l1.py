@@ -32,6 +32,7 @@ from .linalg import (
     unit,
     vec,
 )
+from .spaces import _checked
 from .subspaces import embed, require_proper, subspace
 
 
@@ -163,7 +164,7 @@ def l1_best_coapprox(a_rows, b) -> CoapproxResult:
     """
     y = subspace(a_rows)
     basis = y.basis
-    point = vec(b)
+    point = _checked(y.ambient_dim, b)
     norming = minimal_norming_set(a_rows)
     reps = norming.representatives
     system = tuple(tuple(dot(row, s) for row in basis) for s in reps)

@@ -1,9 +1,9 @@
 """Exact rational linear algebra.
 
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of such
-tuples.  Everything in this module is pure and tolerance-free: ranks come from
-fraction-free (Bareiss) elimination over cleared integers, linear systems from
-exact Gauss-Jordan reduction, and linear programs from a two-phase simplex
+tuples.  Everything in this module is pure and tolerance-free: ranks and
+linear systems come from one fraction-free (Bareiss) Gauss-Jordan elimination
+over rows cleared to integers, and linear programs from a two-phase simplex
 with Bland's anti-cycling rule, so termination and exactness are guaranteed.
 No floating point enters any code path.
 """
@@ -98,35 +98,45 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m, strict=True)) if m else ()
 
 
-def rank(m: Matrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of a list of rational rows, in place.
 
-    Rows are first cleared to integers (rank is invariant under row scaling);
-    the Bareiss pivot update keeps every intermediate entry an exact integer.
+    Each row is first cleared to integers (row scaling changes neither the
+    row space nor the solutions), then pivots are taken left to right in the
+    first ``ncols`` columns.  The Bareiss update (p*a - f*b) // prev reaches
+    every row but the pivot row and every entry, a right-hand side too; each
+    entry stays a minor of the cleared rows, so the division is exact.  On
+    return each pivot row holds d at its own pivot column and 0 at every
+    other, so the rows divided by d are the reduced row echelon form.
     """
-    if not m or not m[0]:
-        return 0
-    rows = []
-    for row in m:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * mult) for x in row])
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
+    for i, row in enumerate(rows):
+        mult = lcm(*(x.denominator for x in row))
+        rows[i] = [x.numerator * (mult // x.denominator) for x in row]
+    pivots: list[int] = []
     prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nrows):
-            for j in range(col + 1, ncols):
-                rows[i][j] = (rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j]) // prev
-            rows[i][col] = 0
-        prev = rows[r][col]
-        r += 1
-        if r == nrows:
+        top = rows[r]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return r
+    return pivots, prev
+
+
+def rank(m: Matrix) -> int:
+    """Rank over the rationals: the pivot count of the fraction-free elimination."""
+    pivots, _ = _reduce(list(m), len(m[0]) if m else 0)
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -144,38 +154,22 @@ class LinearSolution:
 
 
 def solve_linear(a: Matrix, b: Vector) -> LinearSolution:
-    """Exactly classify and solve the linear system A x = b."""
-    nrows = len(a)
-    if len(b) != nrows:
+    """Exactly classify and solve the linear system A x = b.
+
+    The augmented rows go through the same fraction-free elimination as
+    ``rank``; Fractions are made only when the solution is read off.
+    """
+    if len(b) != len(a):
         raise ValueError("right-hand side length does not match row count")
     ncols = len(a[0]) if a else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b, strict=True)]
-
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return LinearSolution(kind="inconsistent")
+    rows = [[*row, rhs] for row, rhs in zip(a, b)]
+    pivots, d = _reduce(rows, ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return LinearSolution(kind="inconsistent")
 
     particular = [ZERO] * ncols
-    for i, col in enumerate(pivots):
-        particular[col] = aug[i][ncols]
+    for row, col in zip(rows, pivots):
+        particular[col] = Fraction(row[ncols], d)
 
     free = [c for c in range(ncols) if c not in pivots]
     if not free:
@@ -185,8 +179,8 @@ def solve_linear(a: Matrix, b: Vector) -> LinearSolution:
     for f in free:
         v = [ZERO] * ncols
         v[f] = ONE
-        for i, col in enumerate(pivots):
-            v[col] = -aug[i][f]
+        for row, col in zip(rows, pivots):
+            v[col] = Fraction(-row[f], d)
         basis.append(tuple(v))
     return LinearSolution(kind="affine", particular=tuple(particular), nullspace=tuple(basis))
 

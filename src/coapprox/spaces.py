@@ -103,13 +103,13 @@ def make_custom(vertices=None, facets=None) -> PolyhedralSpace:
 
 def norm(space: PolyhedralSpace, x) -> Fraction:
     """Norm of x: the maximum of the extreme dual functionals on x."""
-    point = _checked(space, x)
+    point = _checked(space.dim, x)
     return max(dot(g, point) for g in space.dual_extreme)
 
 
 def support_set(space: PolyhedralSpace, x) -> SupportSet:
     """J(x): all extreme dual functionals g with <g, x> = ||x||, for x != 0."""
-    point = _checked(space, x)
+    point = _checked(space.dim, x)
     if is_zero(point):
         raise ZeroVector("support set requires a nonzero vector")
     values = [dot(g, point) for g in space.dual_extreme]
@@ -123,10 +123,11 @@ def is_smooth(space: PolyhedralSpace, x) -> bool:
     return len(support_set(space, x).indices) == 1
 
 
-def _checked(space: PolyhedralSpace, x) -> Vector:
+def _checked(dim: int, x) -> Vector:
+    """x as an exact vector, refused unless it has ``dim`` coordinates."""
     point = vec(x)
-    if len(point) != space.dim:
-        raise ValueError(f"point has dimension {len(point)}, space has {space.dim}")
+    if len(point) != dim:
+        raise ValueError(f"point has dimension {len(point)}, space has {dim}")
     return point
 
 

@@ -43,7 +43,7 @@ from .linalg import (
     zeros,
 )
 from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, extreme_subset
-from .spaces import PolyhedralSpace, norm
+from .spaces import PolyhedralSpace, _checked, norm
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def embed(y: Subspace, alpha) -> Vector:
 
 def coordinates(y: Subspace, x) -> Vector | None:
     """Basis coordinates of x if x lies in Y, else None."""
-    point = vec(x)
+    point = _checked(y.ambient_dim, x)
     sol = solve_linear(transpose(y.basis), point)
     if sol.kind == "inconsistent":
         return None

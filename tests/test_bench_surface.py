@@ -55,3 +55,25 @@ def test_workload_checks_pass_on_the_first_questions(monkeypatch, workload):
         wl.setup(201)
         problems = [wl.check(q, wl.ask(q)) for q in itertools.islice(wl.questions, 20)]
     assert problems == [None] * 20
+
+
+def test_tracer_observes_a_traced_run_and_restores_every_binding():
+    # the tracer's observers read LpProblem.bounds, LpResult.status,
+    # Feasibility.feasible and NormingSet.representatives; a library change
+    # that breaks --trace 1 fails here
+    tracer_module = _load("tracer")
+    ca.induced_ball.cache_clear()  # a cached ball would skip conv_facets
+    with tracer_module.Tracer() as tracer:
+        tracer.question_id = 0
+        patched = tracer.patched
+        space = ca.make_linf(3)
+        y = ca.subspace(((1, 1, 2), (2, 2, 1)))
+        ca.is_strongly_anti_coproximinal(space, y)
+        ca.solve_best_coapprox(space, y, (1, 0, 0))
+        ca.l1_is_anti_coproximinal(((0, 1, 1), (-1, 0, 1)))
+    metrics = tracer.layer_metrics(1, None)
+    for name in ("linalg.rank.calls", "linalg.solve_linear.calls",
+                 "linalg.lp_solve.rows_mean", "polytope.conv_facets.facets_mean"):
+        assert metrics[name] > 0, name
+    assert patched
+    assert all(getattr(ns, attr) is original for ns, attr, original in patched)

@@ -413,6 +413,34 @@ class TestConditions:
             ca.necessary_condition_check(linf3, narrow, (0, 0, 0))
 
 
+_FLAT = ((1, 0, 0), (0, 1, 0))
+
+# Each call gets one point of the wrong dimension in linf3 with Y = span{e1, e2}.
+_WRONG_DIMENSION = {
+    "bj_orthogonal": lambda s, y: ca.bj_orthogonal(s, (1, 0, 0), (1, 0)),
+    "eps_bj_orthogonal": lambda s, y: ca.eps_bj_orthogonal(s, (1, 0, 0), (1, 0), "1/2"),
+    "lambda_oracle_y": lambda s, y: ca.bj_orthogonal_lambda_oracle(s, (1, 0, 0), (1, 0)),
+    "lambda_oracle_x": lambda s, y: ca.bj_orthogonal_lambda_oracle(s, (1, 0), (1, 0, 0)),
+    "eps_coapprox_defect": lambda s, y: ca.eps_coapprox_defect(s, y, (1, 0, 0, 1), (0, 0, 0)),
+    "solve_best_coapprox": lambda s, y: ca.solve_best_coapprox(s, y, (1, 0)),
+    "is_best_coapprox_x": lambda s, y: ca.is_best_coapprox(s, y, (1, 0), (0, 0, 0)),
+    "is_best_coapprox_y0": lambda s, y: ca.is_best_coapprox(s, y, (0, 0, 1), (0, 0)),
+    "l1_best_coapprox": lambda s, y: ca.l1_best_coapprox(L1_BASIS, (1, 0)),
+    "coordinates": lambda s, y: ca.coordinates(y, (1, 0)),
+    "sufficient_condition_strong": lambda s, y: ca.sufficient_condition_strong(s, y, (1, 0)),
+    "necessary_condition_check": lambda s, y: ca.necessary_condition_check(s, y, (0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_DIMENSION))
+def test_wrong_dimension_is_refused_with_the_norm_wording(linf3, name):
+    with pytest.raises(ValueError) as err:
+        _WRONG_DIMENSION[name](linf3, ca.subspace(_FLAT))
+    message = str(err.value)
+    assert "has dimension" in message
+    assert "zip()" not in message and "right-hand side" not in message
+
+
 class TestFacetsDecide:
     """The facet and vertex scans agree with a scan over the whole face lattice."""
 

@@ -7,9 +7,9 @@ import pytest
 
 import coapprox as ca
 from coapprox.l1 import cell_bound
-from coapprox.linalg import dot, neg
+from coapprox.linalg import add, dot, neg, scale, zeros
 
-from conftest import L1_BASIS, independent_basis, rational_point, seeded
+from conftest import L1_BASIS, independent_basis, rational, rational_point, seeded
 
 F = Fraction
 
@@ -161,6 +161,33 @@ class TestL1BestCoapprox:
             if fast.exists:
                 assert fast.y0 == generic.y0
             checked += 1
+
+    def test_agreement_with_the_generic_solver_at_seven(self):
+        # random points almost never have a best coapproximation, so half of
+        # them are built as y + z with z orthogonal to every norming sign
+        # vector: then y itself solves the norming-set system
+        rng = seeded(247)
+        sp7 = ca.make_l1(7)
+        spans = found = 0
+        while spans < 12:
+            rows = independent_basis(rng, 7, rng.choice((2, 3, 4)), -1, 1)
+            if ca.zero_set(rows):
+                continue
+            if spans % 2:
+                b = rational_point(rng, 7)
+            else:
+                b = ca.embed(ca.subspace(rows), rational_point(rng, len(rows)))
+                reps = ca.minimal_norming_set(rows).representatives
+                for v in ca.solve_linear(reps, zeros(len(reps))).nullspace:
+                    b = add(b, scale(v, rational(rng)))
+            fast = ca.l1_best_coapprox(rows, b)
+            generic = ca.solve_best_coapprox(sp7, ca.subspace(rows), b)
+            assert fast.exists == generic.exists
+            if fast.exists:
+                assert fast.y0 == generic.y0
+            found += fast.exists
+            spans += 1
+        assert found >= 3
 
 
 class TestNeverStronglyAnti:

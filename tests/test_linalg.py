@@ -1,6 +1,7 @@
 """Exact rational linear algebra and LP layer."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -153,6 +154,145 @@ class TestNullspace:
     def test_full_rank_square(self):
         a = ca.mat([(1, 0), (0, 1)])
         assert ca.solve_linear(a, zeros(len(a))).nullspace == ()
+
+
+class TestOneElimination:
+    """rank and solve_linear share one fraction-free Gauss-Jordan elimination.
+
+    The two separate eliminations they replaced (Bareiss forward elimination
+    for rank, Gauss-Jordan over Fractions for solve_linear) are kept below as
+    oracles; the reduced row echelon form is unique, so every answer must be
+    the same.
+    """
+
+    def test_agrees_with_the_separate_eliminations(self):
+        rng = seeded(41)
+        seen = set()
+        for _ in range(2400):
+            a, b = _random_system(rng)
+            sol = ca.solve_linear(a, b)
+            want = _fraction_solve(a, b)
+            assert ca.rank(a) == _bareiss_rank(a)
+            assert (sol.kind, sol.particular, sol.nullspace) == (
+                want.kind, want.particular, want.nullspace
+            )
+            nrows, ncols = len(a), len(a[0])
+            seen.add(sol.kind)
+            seen.add("wide" if nrows < ncols else "tall" if nrows > ncols else "square")
+            if ca.rank(a) < min(nrows, ncols):
+                seen.add("deficient")
+            if any(is_zero(row) for row in a):
+                seen.add("zero row")
+            if any(is_zero(col) for col in zip(*a)):
+                seen.add("zero column")
+        assert seen == {
+            "unique", "affine", "inconsistent", "wide", "tall", "square",
+            "deficient", "zero row", "zero column",
+        }
+
+    def test_pivot_value_is_shared_by_every_pivot_row(self):
+        rows = [[F(2), F(1), F(-1), F(8)], [F(-3), F(-1), F(2), F(-11)], [F(-2), F(1), F(2), F(-3)]]
+        pivots, d = coapprox.linalg._reduce(rows, 3)
+        assert pivots == [0, 1, 2]
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[F(x, d) for x in row] for row in rows] == [
+            [1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, -1]
+        ]
+
+
+def _random_system(rng):
+    """A rational system with 1-7 rows and columns, often degenerate."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.random()
+    if shape < 0.3 and nrows > 1:
+        k, i, j = (rng.randrange(nrows) for _ in range(3))
+        c = rng.choice((F(-2), F(1, 2), F(3)))
+        rows[k] = [c * x + y for x, y in zip(rows[i], rows[j])]
+    elif shape < 0.4:
+        rows[rng.randrange(nrows)] = [F(0)] * ncols
+    elif shape < 0.5:
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] = F(0)
+    a = tuple(tuple(row) for row in rows)
+    if rng.random() < 0.5:
+        x = [entry() for _ in range(ncols)]
+        b = tuple(dot(row, x) for row in a)
+    else:
+        b = tuple(entry() for _ in range(nrows))
+    return a, b
+
+
+def _bareiss_rank(m) -> int:
+    """The former rank: Bareiss forward elimination over cleared integer rows."""
+    if not m or not m[0]:
+        return 0
+    rows = []
+    for row in m:
+        mult = math.lcm(*(x.denominator for x in row)) if row else 1
+        rows.append([int(x * mult) for x in row])
+    nrows, ncols = len(rows), len(rows[0])
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, nrows):
+            for j in range(col + 1, ncols):
+                rows[i][j] = (rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j]) // prev
+            rows[i][col] = 0
+        prev = rows[r][col]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _fraction_solve(a, b):
+    """The former solve_linear: Gauss-Jordan reduction over Fractions."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    aug = [list(row) + [rhs] for row, rhs in zip(a, b, strict=True)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+        return ca.LinearSolution(kind="inconsistent")
+    particular = [F(0)] * ncols
+    for i, col in enumerate(pivots):
+        particular[col] = aug[i][ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return ca.LinearSolution(kind="unique", particular=tuple(particular))
+    basis = []
+    for f in free:
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for i, col in enumerate(pivots):
+            v[col] = -aug[i][f]
+        basis.append(tuple(v))
+    return ca.LinearSolution(kind="affine", particular=tuple(particular), nullspace=tuple(basis))
 
 
 class TestLp:
