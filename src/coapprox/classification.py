@@ -17,7 +17,7 @@ from .errors import Discrepancy
 from .l1 import cell_bound, l1_is_anti_coproximinal
 from .linf import linf_classify
 from .spaces import PolyhedralSpace
-from .subspaces import Subspace
+from .subspaces import Subspace, _check_ambient
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def classify(space: PolyhedralSpace, y: Subspace, verify: bool = False) -> Class
     The max-norm and sum-norm spaces take their fast paths, every other
     space the generic engine.
     """
-    if y.ambient_dim != space.dim:
-        raise ValueError("basis rows do not match the space dimension")
+    _check_ambient(space, y)
     if space.kind == "linf":
         fast = _linf(y)
     elif space.kind == "l1":

@@ -53,6 +53,7 @@ from .spaces import (
 )
 from .subspaces import (
     Subspace,
+    _check_ambient,
     jy_set,
     jy_set_via_faces,
     require_coordinates,
@@ -270,6 +271,7 @@ def _cmd_eps_check(req: Request) -> dict:
     space, y = req.need_space(), req.need_subspace()
     x, y0 = req.need_point(), req.need_y0()
     if x == y0:
+        _check_ambient(space, y)
         require_coordinates(y, y0, "y0")
         return {"is_eps_best": True, "epsilon": eps, "defect": Fraction(0)}
     defect = eps_coapprox_defect(space, y, x, y0)

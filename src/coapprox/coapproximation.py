@@ -62,6 +62,7 @@ from .spaces import PolyhedralSpace, _checked, norm, support_set
 from .subspaces import (
     JYSet,
     Subspace,
+    _check_ambient,
     coordinates,
     embed,
     induced_ball,
@@ -146,6 +147,7 @@ def is_best_coapprox(space: PolyhedralSpace, y: Subspace, x, y0) -> bool:
     straddle zero, i.e. that some functional norming the facet annihilates
     x - y0.
     """
+    _check_ambient(space, y)
     require_coordinates(y, y0, "y0")
     diff = sub(_checked(space.dim, x), vec(y0))
     return is_zero(diff) or all(gap == 0 for gap in _facet_gaps(space, y, diff))
@@ -158,6 +160,7 @@ def eps_coapprox_defect(space: PolyhedralSpace, y: Subspace, x, y0) -> Fraction:
     normalized by ||x - y0||.  It always lies in [0, 1] and vanishes exactly
     on best coapproximations.
     """
+    _check_ambient(space, y)
     require_coordinates(y, y0, "y0")
     diff = sub(_checked(space.dim, x), vec(y0))
     if is_zero(diff):
@@ -358,6 +361,7 @@ def sufficient_condition_strong(space: PolyhedralSpace, y: Subspace, x) -> bool:
     facet's dual face is a subset of the support set of x or of -x.  Requires
     x outside Y.
     """
+    _check_ambient(space, y)
     px = _checked(space.dim, x)
     if coordinates(y, px) is not None:
         raise PointInSubspace("the condition is posed for x outside Y")

@@ -1,11 +1,12 @@
 """Exact rational linear algebra.
 
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of such
-tuples.  Everything in this module is pure and tolerance-free: ranks and
-linear systems come from one fraction-free (Bareiss) Gauss-Jordan elimination
-over rows cleared to integers, and linear programs from a two-phase simplex
-with Bland's anti-cycling rule, so termination and exactness are guaranteed.
-No floating point enters any code path.
+tuples.  Everything in this module is pure and tolerance-free: one
+fraction-free (Bareiss) pivot step on rows cleared to integers drives both the
+Gauss-Jordan elimination behind ranks and linear systems and the two-phase
+simplex, with Bland's anti-cycling rule, behind linear programs, so
+termination and exactness are guaranteed.  No floating point enters any code
+path.
 """
 
 from __future__ import annotations
@@ -98,6 +99,17 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m, strict=True)) if m else ()
 
 
+def _eliminate(rows: list, r: int, col: int, prev: int) -> int:
+    """One Bareiss step on the integer rows[r][col], in place; returns the pivot p."""
+    top = rows[r]
+    p = top[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
 def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of a list of rational rows, in place.
 
@@ -120,13 +132,7 @@ def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        top = rows[r]
-        p = top[col]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[col]
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
+        prev = _eliminate(rows, r, col, prev)
         pivots.append(col)
         if len(pivots) == len(rows):
             break
@@ -234,57 +240,45 @@ class LpResult:
     point: Vector | None = None
 
 
-def _pivot(tableau, basis, row, col, cost):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    prow = tableau[row]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [x - f * y for x, y in zip(r, prow)]
-    if cost[col] != 0:
-        f = cost[col]
-        for j, y in enumerate(prow):
-            cost[j] -= f * y
-    basis[row] = col
+def _cost_row(rows: list, basis: list[int], cost: list[int], d: int) -> list[int]:
+    """d times the reduced costs of ``cost`` (0 at the right-hand side) at the basis."""
+    weighted = [(cost[bc], row) for bc, row in zip(basis, rows) if cost[bc] != 0]
+    return [d * c - sum(w * row[j] for w, row in weighted) for j, c in enumerate(cost)]
 
 
-def _run_simplex(tableau, basis, cost):
-    """Minimize over the tableau in place; returns "optimal" or "unbounded".
+def _run_simplex(tableau: list, basis: list[int], d: int) -> tuple[str, int]:
+    """Minimize over the integer tableau in place; returns the status and the new d.
 
-    Bland's rule both for the entering column (lowest index with negative
-    reduced cost) and for ratio-test ties (lowest basis index), which rules
-    out cycling.
+    Every row holds d times its entries, the cost row last, so a pivot is one
+    ``_eliminate`` step.  Bland's rule both for the entering column (lowest
+    index with negative reduced cost) and for ratio-test ties (lowest basis
+    index), which rules out cycling; ratios are compared cross-multiplied.
     """
-    width = len(cost) - 1
-    for row, bc in enumerate(basis):
-        if cost[bc] != 0:
-            f = cost[bc]
-            for j, y in enumerate(tableau[row]):
-                cost[j] -= f * y
     while True:
-        enter = next((j for j in range(width) if cost[j] < 0), None)
+        cost = tableau[-1]
+        enter = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if enter is None:
-            return "optimal"
+            return "optimal", d
         leave = None
-        best = None
-        for i, r in enumerate(tableau):
-            if r[enter] > 0:
-                ratio = r[-1] / r[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, (bc, row) in enumerate(zip(basis, tableau)):
+            a, rhs = row[enter], row[-1]
+            if a > 0 and (leave is None or (rhs * den, bc) < (num * a, basis[leave])):
+                leave, num, den = i, rhs, a
         if leave is None:
-            return "unbounded"
-        _pivot(tableau, basis, leave, enter, cost)
+            return "unbounded", d
+        d = _eliminate(tableau, leave, enter, d)
+        basis[leave] = enter
 
 
 def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
-    """Exact two-phase simplex over the rationals.
+    """Exact two-phase simplex on a fraction-free integer tableau.
 
     Free variables are split into positive and negative parts; bounds become
     extra inequality rows.  Phase one adds an artificial variable per
     equality row and one shared by all inequality rows the origin violates.
+    One multiplier clears the system to integers; the tableau then holds d
+    times its entries, d > 0 the basis determinant, and Fractions are made
+    only when the point is read off.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -301,23 +295,26 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
     slack_col = {row: 2 * nvars + k for k, row in enumerate(ineq_rows)}
     nstruct = 2 * nvars + len(ineq_rows)
 
+    # One multiplier for the whole system: scaling rows apart could change
+    # which surplus row has the largest right-hand side below.
+    mult = lcm(*(x.denominator for coeffs, _, rhs in cons for x in (*coeffs, rhs)))
     rows = []
     for i, (coeffs, rel, rhs) in enumerate(cons):
-        row = [ZERO] * nstruct
+        row = [0] * nstruct
         for j, c in enumerate(coeffs):
-            row[j] = c
-            row[nvars + j] = -c
+            row[j] = c.numerator * (mult // c.denominator)
+            row[nvars + j] = -row[j]
         if rel != "==":
-            row[slack_col[i]] = ONE if rel == "<=" else -ONE
-        row.append(rhs)
-        if rhs < 0:
+            row[slack_col[i]] = 1 if rel == "<=" else -1
+        row.append(rhs.numerator * (mult // rhs.denominator))
+        if row[-1] < 0:
             row = [-x for x in row]
         rows.append(row)
 
     # The shared artificial starts on the surplus row with the largest
     # right-hand side; subtracting every other surplus row from that one
     # leaves its slack basic at a nonnegative value (one pivot, not one each).
-    surplus = [i for i, col in slack_col.items() if rows[i][col] == -ONE]
+    surplus = [i for i, col in slack_col.items() if rows[i][col] == -1]
     top = max(surplus, key=lambda i: rows[i][-1], default=None)
     for i in surplus:
         if i != top:
@@ -326,7 +323,7 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
     art_cols: list[int] = []
     for i, (_, rel, _) in enumerate(cons):
         col = slack_col.get(i)
-        if col is not None and rows[i][col] == ONE:
+        if col is not None and rows[i][col] == 1:
             basis.append(col)
         else:
             art = nstruct + len(art_cols)
@@ -334,45 +331,42 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
             basis.append(art)
 
     width = nstruct + len(art_cols)
-    for row in rows:
-        rhs = row.pop()
-        row.extend(ZERO for _ in range(width - len(row)))
-        row.append(rhs)
-    for i, bc in enumerate(basis):
-        if bc >= nstruct:
-            rows[i][bc] = ONE
+    for i, (row, bc) in enumerate(zip(rows, basis)):
+        rows[i] = row[:-1] + [1 if c == bc else 0 for c in art_cols] + row[-1:]
 
+    d = 1  # the starting basis is the identity
     if art_cols:
-        cost = [ZERO] * width + [ZERO]
-        for c in art_cols:
-            cost[c] = ONE
-        status = _run_simplex(rows, basis, cost)
+        cost = [int(nstruct <= j < width) for j in range(width + 1)]
+        rows.append(_cost_row(rows, basis, cost, d))
+        status, d = _run_simplex(rows, basis, d)
         if status != "optimal":
             raise Discrepancy("phase one cannot be unbounded")
-        if -cost[-1] > 0:
+        if rows[-1][-1] < 0:
             return LpResult(status="infeasible")
-        for i in range(len(rows) - 1, -1, -1):
+        for i in range(len(basis) - 1, -1, -1):
             if basis[i] >= nstruct:
                 col = next((j for j in range(nstruct) if rows[i][j] != 0), None)
                 if col is None:
                     del rows[i], basis[i]
-                else:
-                    _pivot(rows, basis, i, col, cost)
-        rows = [r[:nstruct] + [r[-1]] for r in rows]
+                    continue
+                if rows[i][col] < 0:  # its right-hand side is 0: flip it to keep d > 0
+                    rows[i] = [-x for x in rows[i]]
+                d = _eliminate(rows, i, col, d)
+                basis[i] = col
+        rows = [r[:nstruct] + [r[-1]] for r in rows[:-1]]
         width = nstruct
 
-    minimize = sense == "min"
-    cost = [ZERO] * (width + 1)
-    for j, c in enumerate(problem.objective):
-        cost[j] = c if minimize else -c
-        cost[nvars + j] = -cost[j]
-    status = _run_simplex(rows, basis, cost)
+    mult = lcm(*(c.denominator for c in problem.objective)) * (1 if sense == "min" else -1)
+    obj = [c.numerator * (mult // c.denominator) for c in problem.objective]
+    cost = obj + [-c for c in obj] + [0] * (width - 2 * nvars + 1)
+    rows.append(_cost_row(rows, basis, cost, d))
+    status, d = _run_simplex(rows, basis, d)
     if status == "unbounded":
         return LpResult(status="unbounded")
 
     values = [ZERO] * width
-    for i, bc in enumerate(basis):
-        values[bc] = rows[i][-1]
+    for bc, row in zip(basis, rows):
+        values[bc] = Fraction(row[-1], d)
     point = tuple(values[j] - values[nvars + j] for j in range(nvars))
     value = dot(problem.objective, point)
     return LpResult(status="optimal", value=value, point=point)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import SpaceTooLarge, ZeroVector
 from .linalg import Vector, canonical_sorted, dot, is_zero, unit, vec
@@ -29,13 +30,22 @@ class PolyhedralSpace:
     """Immutable polyhedral norm on Q^dim.
 
     ``kind`` is "linf", "l1", or "custom" and only steers fast-path dispatch;
-    all generic operations use the two ball representations alone.
+    all generic operations use the two ball representations alone.  The hash
+    is computed once: cached lookups keyed by a space would otherwise rehash
+    every Fraction of both representations.
     """
 
     kind: str
     dim: int
     vertices: tuple[Vector, ...]
     dual_extreme: tuple[Vector, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.dim, self.vertices, self.dual_extreme))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def vrep(self) -> VRep:

@@ -93,6 +93,12 @@ def coordinates(y: Subspace, x) -> Vector | None:
     return sol.particular
 
 
+def _check_ambient(space: PolyhedralSpace, y: Subspace) -> None:
+    """Refuse a subspace whose basis rows do not live in the space's dimension."""
+    if y.ambient_dim != space.dim:
+        raise ValueError("subspace lives in a different ambient dimension")
+
+
 def restrict(y: Subspace, g: Vector) -> Vector:
     """The functional g seen in basis coordinates: alpha -> <g, sum alpha_k a_k>."""
     return tuple(dot(g, row) for row in y.basis)
@@ -146,8 +152,7 @@ class InducedBall:
 @lru_cache(maxsize=256)
 def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
     """Compute B_Y = B_X /\\ Y in basis coordinates, with the facet dual map."""
-    if y.ambient_dim != space.dim:
-        raise ValueError("subspace lives in a different ambient dimension")
+    _check_ambient(space, y)
     restricted = [restrict(y, g) for g in space.dual_extreme]
     distinct = tuple(row for row in dict.fromkeys(restricted) if not is_zero(row))
     # B_Y = {alpha : <row, alpha> <= 1}: its facet rows are the extreme rows,
@@ -195,8 +200,7 @@ def jy_set(space: PolyhedralSpace, y: Subspace) -> JYSet:
     some y in Y has <g, y> > <g', y> for every other extreme functional g'.
     The partner -g forces <g, y> > 0, so y / <g, y> is a smooth unit witness.
     """
-    if y.ambient_dim != space.dim:
-        raise ValueError("subspace lives in a different ambient dimension")
+    _check_ambient(space, y)
     indices, witnesses = [], []
     for j, g in enumerate(space.dual_extreme):
         rows = tuple(

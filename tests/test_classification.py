@@ -52,7 +52,7 @@ class TestEngineChoice:
         assert result.certificates["epsilon0"] < 1
 
     def test_dimension_mismatch_is_refused(self, linf3):
-        with pytest.raises(ValueError, match="space dimension"):
+        with pytest.raises(ValueError, match="^subspace lives in a different ambient dimension$"):
             ca.classify(linf3, ca.subspace([(1, 0), (0, 1)]))
 
     def test_improper_dimension_is_refused(self, linf3, prism):

@@ -298,6 +298,25 @@ class TestExitCodes:
         assert code == 1
         assert out["error"] == {"type": "ValueError", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eps-check", "--epsilon", "1/2", "--point", "[1,0,0]", "--y0", "[1,0,0]"],
+            ["eps-check", "--epsilon", "1/2", "--point", "[1,2,3]", "--y0", "[1,0,0]"],
+            ["defect", "--point", "[1,2,3]", "--y0", "[1,0,0]"],
+            ["classify"],
+            ["best-coapprox", "--point", "[1,2,3]"],
+            ["jy"],
+        ],
+        ids=["eps-check-x-is-y0", "eps-check", "defect", "classify", "best-coapprox", "jy"],
+    )
+    def test_basis_in_another_dimension_is_named(self, capsys, argv):
+        code, out = run(capsys, *argv, "--space", LINF3, "--basis", "[[1,0,0,0],[0,1,0,0]]")
+        assert code == 1
+        assert out["error"] == {
+            "type": "ValueError", "message": "subspace lives in a different ambient dimension"
+        }
+
     def test_bool_in_vector_is_one(self, capsys):
         code, out = run(capsys, "norm", "--space", LINF3, "--point", "[true,0,0]")
         assert code == 1

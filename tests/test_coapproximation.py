@@ -441,6 +441,25 @@ def test_wrong_dimension_is_refused_with_the_norm_wording(linf3, name):
     assert "zip()" not in message and "right-hand side" not in message
 
 
+# Each call gets a subspace of R^4 in linf3, with points of the space's dimension.
+_WRONG_AMBIENT = {
+    "is_best_coapprox": lambda s, y: ca.is_best_coapprox(s, y, (1, 2, 3), (1, 0, 0)),
+    "eps_coapprox_defect": lambda s, y: ca.eps_coapprox_defect(s, y, (1, 2, 3), (1, 0, 0)),
+    "sufficient_condition_strong": lambda s, y: ca.sufficient_condition_strong(s, y, (0, 0, 1)),
+    "necessary_condition_check": lambda s, y: ca.necessary_condition_check(s, y, (0, 0, 1)),
+    "solve_best_coapprox": lambda s, y: ca.solve_best_coapprox(s, y, (1, 2, 3)),
+    "jy_set": lambda s, y: ca.jy_set(s, y),
+    "jy_set_via_faces": lambda s, y: ca.jy_set_via_faces(s, y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_AMBIENT))
+def test_subspace_in_another_dimension_is_refused_with_one_message(linf3, name):
+    y = ca.subspace([(1, 0, 0, 0), (0, 1, 0, 0)])
+    with pytest.raises(ValueError, match="^subspace lives in a different ambient dimension$"):
+        _WRONG_AMBIENT[name](linf3, y)
+
+
 class TestFacetsDecide:
     """The facet and vertex scans agree with a scan over the whole face lattice."""
 

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 import coapprox as ca
 import coapprox.linalg
 from coapprox.linalg import (
+    ONE,
+    ZERO,
     add,
     affine_rank,
     canonical_sorted,
@@ -381,6 +383,223 @@ class TestLp:
                 assert rel == "<="
                 assert dot(lhs, res.point) <= rhs
             count += 1
+
+
+class TestIntegerSimplex:
+    """lp_solve pivots an integer tableau through the Bareiss step of _reduce.
+
+    The former simplex over a Fraction tableau is kept below as the oracle;
+    the integer tableau holds d times the same entries, so every pivot, and
+    with it every status, value and point, must be the same.
+    """
+
+    def test_agrees_with_the_fraction_simplex(self):
+        rng = seeded(53)
+        statuses = set()
+        for _ in range(5000):
+            problem, sense = _random_lp(rng)
+            res = ca.lp_solve(problem, sense)
+            want = _fraction_lp_solve(problem, sense)
+            assert (res.status, res.value, res.point) == (want.status, want.value, want.point)
+            statuses.add(res.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_beale_cycling_example_reaches_its_optimum(self):
+        # Beale (1955): the textbook rule without Bland's tie-breaks cycles here
+        prob = ca.lp(
+            (F(-3, 4), 20, F(-1, 2), 6),
+            (
+                ((F(1, 4), -8, -1, 9), "<=", 0),
+                ((F(1, 2), -12, F(-1, 2), 3), "<=", 0),
+                ((0, 0, 1, 0), "<=", 1),
+            ),
+            bounds=((0, None),) * 4,
+        )
+        res = ca.lp_solve(prob, "min")
+        assert res.status == "optimal"
+        assert res.value == F(-5, 4)
+        assert res.point == (F(1), F(0), F(1), F(0))
+
+    def test_every_tableau_row_holds_only_ints(self, monkeypatch):
+        seen = []
+        real = coapprox.linalg._eliminate
+
+        def spy(rows, r, col, prev):
+            p = real(rows, r, col, prev)
+            seen.append(len(rows))
+            assert type(prev) is int and type(p) is int and p != 0
+            assert all(type(x) is int for row in rows for x in row)
+            return p
+
+        monkeypatch.setattr(coapprox.linalg, "_eliminate", spy)
+        rng = seeded(59)
+        for _ in range(300):
+            problem, sense = _random_lp(rng)
+            assert ca.lp_solve(problem, sense) == _fraction_lp_solve(problem, sense)
+        assert len(seen) > 300
+
+
+def _random_lp(rng):
+    """A rational LP with 1-5 variables and 1-8 mixed rows, sometimes bounded."""
+    nvars = rng.randint(1, 5)
+
+    def entry():
+        return F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.75 else F(0)
+
+    def row():
+        return tuple(entry() for _ in range(nvars))
+
+    objective = zeros(nvars) if rng.random() < 0.3 else row()
+    constraints = tuple(
+        (row(), rng.choice(("<=", ">=", "==")), entry()) for _ in range(rng.randint(1, 8))
+    )
+    bounds = None
+    if rng.random() < 0.3:
+        bounds = tuple(
+            (rng.choice((None, entry())), rng.choice((None, entry()))) for _ in range(nvars)
+        )
+    problem = ca.LpProblem(objective=objective, constraints=constraints, bounds=bounds)
+    return problem, rng.choice(("max", "min"))
+
+
+def _fraction_pivot(tableau, basis, row, col, cost):
+    """The former pivot over a Fraction tableau, cost row kept apart."""
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    prow = tableau[row]
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tableau[i] = [x - f * y for x, y in zip(r, prow)]
+    if cost[col] != 0:
+        f = cost[col]
+        for j, y in enumerate(prow):
+            cost[j] -= f * y
+    basis[row] = col
+
+
+def _fraction_run_simplex(tableau, basis, cost):
+    """Minimize over the tableau in place; returns "optimal" or "unbounded".
+
+    Bland's rule both for the entering column (lowest index with negative
+    reduced cost) and for ratio-test ties (lowest basis index), which rules
+    out cycling.
+    """
+    width = len(cost) - 1
+    for row, bc in enumerate(basis):
+        if cost[bc] != 0:
+            f = cost[bc]
+            for j, y in enumerate(tableau[row]):
+                cost[j] -= f * y
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for i, r in enumerate(tableau):
+            if r[enter] > 0:
+                ratio = r[-1] / r[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        _fraction_pivot(tableau, basis, leave, enter, cost)
+
+
+def _fraction_lp_solve(problem, sense="max"):
+    """The former lp_solve: the same two phases over a Fraction tableau."""
+    if sense not in ("max", "min"):
+        raise ValueError(f"unknown sense {sense!r}")
+    nvars = len(problem.objective)
+    cons = list(problem.constraints)
+    if problem.bounds is not None:
+        for j, (lo, hi) in enumerate(problem.bounds):
+            if lo is not None:
+                cons.append((unit(nvars, j), ">=", lo))
+            if hi is not None:
+                cons.append((unit(nvars, j), "<=", hi))
+
+    ineq_rows = [i for i, (_, rel, _) in enumerate(cons) if rel != "=="]
+    slack_col = {row: 2 * nvars + k for k, row in enumerate(ineq_rows)}
+    nstruct = 2 * nvars + len(ineq_rows)
+
+    rows = []
+    for i, (coeffs, rel, rhs) in enumerate(cons):
+        row = [ZERO] * nstruct
+        for j, c in enumerate(coeffs):
+            row[j] = c
+            row[nvars + j] = -c
+        if rel != "==":
+            row[slack_col[i]] = ONE if rel == "<=" else -ONE
+        row.append(rhs)
+        if rhs < 0:
+            row = [-x for x in row]
+        rows.append(row)
+
+    # The shared artificial starts on the surplus row with the largest
+    # right-hand side; subtracting every other surplus row from that one
+    # leaves its slack basic at a nonnegative value (one pivot, not one each).
+    surplus = [i for i, col in slack_col.items() if rows[i][col] == -ONE]
+    top = max(surplus, key=lambda i: rows[i][-1], default=None)
+    for i in surplus:
+        if i != top:
+            rows[i] = [a - b for a, b in zip(rows[top], rows[i])]
+    basis = []
+    art_cols = []
+    for i, (_, rel, _) in enumerate(cons):
+        col = slack_col.get(i)
+        if col is not None and rows[i][col] == ONE:
+            basis.append(col)
+        else:
+            art = nstruct + len(art_cols)
+            art_cols.append(art)
+            basis.append(art)
+
+    width = nstruct + len(art_cols)
+    for row in rows:
+        rhs = row.pop()
+        row.extend(ZERO for _ in range(width - len(row)))
+        row.append(rhs)
+    for i, bc in enumerate(basis):
+        if bc >= nstruct:
+            rows[i][bc] = ONE
+
+    if art_cols:
+        cost = [ZERO] * width + [ZERO]
+        for c in art_cols:
+            cost[c] = ONE
+        status = _fraction_run_simplex(rows, basis, cost)
+        if status != "optimal":
+            raise ca.Discrepancy("phase one cannot be unbounded")
+        if -cost[-1] > 0:
+            return ca.LpResult(status="infeasible")
+        for i in range(len(rows) - 1, -1, -1):
+            if basis[i] >= nstruct:
+                col = next((j for j in range(nstruct) if rows[i][j] != 0), None)
+                if col is None:
+                    del rows[i], basis[i]
+                else:
+                    _fraction_pivot(rows, basis, i, col, cost)
+        rows = [r[:nstruct] + [r[-1]] for r in rows]
+        width = nstruct
+
+    minimize = sense == "min"
+    cost = [ZERO] * (width + 1)
+    for j, c in enumerate(problem.objective):
+        cost[j] = c if minimize else -c
+        cost[nvars + j] = -cost[j]
+    status = _fraction_run_simplex(rows, basis, cost)
+    if status == "unbounded":
+        return ca.LpResult(status="unbounded")
+
+    values = [ZERO] * width
+    for i, bc in enumerate(basis):
+        values[bc] = rows[i][-1]
+    point = tuple(values[j] - values[nvars + j] for j in range(nvars))
+    value = dot(problem.objective, point)
+    return ca.LpResult(status="optimal", value=value, point=point)
 
 
 class TestStrictFeasibility:

@@ -51,6 +51,22 @@ class TestBuilders:
         with pytest.raises(ca.SpaceTooLarge):
             ca.make_l1(13)
 
+    def test_equal_spaces_share_a_hash_and_one_cache_entry(self):
+        pairs = [
+            (ca.make_l1(5), ca.make_l1(5)),
+            (ca.make_custom(facets=[(1, 2), (2, -1), (-1, -2), (-2, 1)]),
+             ca.make_custom(facets=[(-2, 1), (-1, -2), ("2", "-1"), (F(1), F(2))])),
+        ]
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b)
+            # a span no other test asks about, so the first lookup misses
+            y = ca.subspace([tuple(F(k + 1, 13) for k in range(a.dim))])
+            info = ca.induced_ball.cache_info()
+            assert ca.induced_ball(a, y) is ca.induced_ball(b, y)
+            after = ca.induced_ball.cache_info()
+            assert (after.misses, after.hits) == (info.misses + 1, info.hits + 1)
+        assert ca.make_linf(3) != ca.make_l1(3)
+
     def test_dual_rows_have_dual_norm_one(self):
         # every stored functional attains value exactly 1 on the ball
         for sp in (ca.make_linf(3), ca.make_l1(3)):
