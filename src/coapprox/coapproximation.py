@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DegenerateQuery,
@@ -46,6 +47,7 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
+    _cleared,
     centroid,
     dot,
     fr,
@@ -330,7 +332,7 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
     Holds exactly when the norming-functional set is all of the extreme dual
     functionals, i.e. Y meets the interior of every facet of B_X.  A "no" is
     certified without an LP by the vertex centroid of a missed facet, rechecked
-    by exact dot products and to lie outside Y.
+    by exact integer dot products and to lie outside Y.
     """
     require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)
@@ -339,15 +341,22 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
 
     missed_idx = next(i for i in range(len(space.dual_extreme)) if i not in jy.indices)
     g = space.dual_extreme[missed_idx]
-    point = centroid([vert for vert in space.vertices if dot(g, vert) == ONE])
-    values = {other: dot(other, point) for other in space.dual_extreme}
-    if values.pop(g) != ONE:
+    gm, functionals = _cleared(space.dual_extreme)
+    vm, vertices = _cleared(space.vertices)
+    f = functionals[missed_idx]
+    point = centroid(
+        [vert for vert, ints in zip(space.vertices, vertices) if sum(map(mul, f, ints)) == gm * vm]
+    )
+    pm, (ints,) = _cleared([point])
+    one = gm * pm
+    values = {other: sum(map(mul, h, ints)) for other, h in zip(space.dual_extreme, functionals)}
+    if values.pop(g) != one:
         raise Discrepancy("the certificate point is not on the missed facet")
-    if max(values.values()) >= ONE:
+    if max(values.values()) >= one:
         raise Discrepancy("the certificate point is not interior to the missed facet")
     if coordinates(y, point) is not None:
         raise Discrepancy("an interior point of the missed facet lies in Y")
-    eps0 = max(abs(value) for other, value in values.items() if other != neg(g))
+    eps0 = Fraction(max(abs(value) for other, value in values.items() if other != neg(g)), one)
     return StrongResult(
         status="no", jy=jy, missed=g, interior_point=point, epsilon0=eps0
     )

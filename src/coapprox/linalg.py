@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import Discrepancy
 
@@ -99,6 +100,16 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m, strict=True)) if m else ()
 
 
+def _cleared(vectors) -> tuple[int, list[list[int]]]:
+    """Clear rational vectors to integer rows by one common positive multiplier.
+
+    The multiplier is the lcm of every denominator, so each integer row is
+    the rational one times it and every sign and ratio is kept.
+    """
+    mult = lcm(*(x.denominator for v in vectors for x in v))
+    return mult, [[x.numerator * (mult // x.denominator) for x in v] for v in vectors]
+
+
 def _eliminate(rows: list, r: int, col: int, prev: int) -> int:
     """One Bareiss step on the integer rows[r][col], in place; returns the pivot p."""
     top = rows[r]
@@ -122,8 +133,7 @@ def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
     other, so the rows divided by d are the reduced row echelon form.
     """
     for i, row in enumerate(rows):
-        mult = lcm(*(x.denominator for x in row))
-        rows[i] = [x.numerator * (mult // x.denominator) for x in row]
+        _, (rows[i],) = _cleared([row])
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):
@@ -392,7 +402,9 @@ def strict_feasibility(c: Matrix) -> Feasibility:
     res = lp_solve(LpProblem(objective=zeros(len(c[0])), constraints=constraints))
     if res.status != "optimal":
         return Feasibility(feasible=False)
-    if not all(dot(row, res.point) > 0 for row in c):
+    _, (witness,) = _cleared([res.point])
+    _, rows = _cleared(c)
+    if not all(sum(map(mul, row, witness)) > 0 for row in rows):
         raise Discrepancy("the strict-feasibility witness fails a row")
     return Feasibility(feasible=True, witness=res.point)
 

@@ -5,8 +5,9 @@ space with the origin interior to their hull, it returns the irredundant facet
 functionals f of the hull, normalized as {x : <f, x> <= 1}.  Both conversion
 directions reduce to it through bipolar polarity: the vertices of
 {x : <f, x> <= 1 for all f in H} are exactly the facet functionals of conv(H).
-``extreme_subset`` gets both representations of a ball from one such call,
-by keeping the inputs at which the tight facets have full rank.
+``extreme_subset`` gets both representations of a ball from one such call:
+one integer incidence pass marks the input points on each facet, and a point
+is kept when the facets through it meet in that point alone.
 
 ``conv_facets`` homogenizes to the cone {(f, t) : <s, f> <= t, t >= 0} and
 enumerates its extreme rays by the double description method: start from a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import DegenerateInput, Discrepancy, UnboundedInput
@@ -30,9 +31,9 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
+    _cleared,
     affine_rank,
     canonical_sorted,
-    dot,
     neg,
     rank,
     solve_linear,
@@ -71,8 +72,7 @@ class FaceDescriptor:
 
 def _primitive(ray) -> tuple[int, ...]:
     """Scale a rational ray by a positive rational to primitive integer coordinates."""
-    mult = lcm(*(x.denominator for x in ray))
-    ints = [int(x * mult) for x in ray]
+    _, (ints,) = _cleared([ray])
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
 
@@ -159,21 +159,52 @@ def conv_facets(points) -> tuple[Vector, ...]:
     return canonical_sorted(facets)
 
 
-def extreme_subset(points: tuple[Vector, ...]) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """One conversion pass: (the extreme points among ``points``, facets of their hull).
+def _incidences(facets, points) -> list[int]:
+    """For each facet {x : <f, x> <= 1}, the bitmask of the points on it (bit i for point i).
 
-    A point is extreme exactly when the hull facets tight at it have rank d,
-    so the single ``conv_facets`` call yields both representations of the
-    hull.  Read through polarity for the polytope {x : <p, x> <= 1}, the kept
-    points are its irredundant facet rows and the hull facets its vertices.
-    Points must be distinct.
+    Facets and points are cleared to integers once each, by multipliers fm
+    and pm, so point i is on facet f exactly when the integer dot product
+    equals fm * pm.
     """
+    fm, frows = _cleared(facets)
+    pm, prows = _cleared(points)
+    one = fm * pm
+    return [
+        sum(1 << i for i, p in enumerate(prows) if sum(map(mul, f, p)) == one)
+        for f in frows
+    ]
+
+
+def extreme_subset(
+    points: tuple[Vector, ...],
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[tuple[int, ...], ...]]:
+    """One conversion pass: (extreme points among ``points``, facets of their hull, incidences).
+
+    The minimal face through a boundary point p is the meet of the hull
+    facets through it, and a face of dimension >= 1 holds at least two
+    vertices, all of them input points.  So p is extreme exactly when it lies
+    on some facet and the facets through it share no other input point; one
+    integer incidence pass over the single ``conv_facets`` call yields both
+    representations of the hull.  The third entry lists, for each kept
+    point, the indices of the facets through it.  Read through polarity for
+    the polytope {x : <p, x> <= 1}, the kept points are its irredundant facet
+    rows, the hull facets its vertices and the third entry its facet-vertex
+    incidences.  Points must be distinct; duplicates raise ValueError.
+    """
+    if len(set(points)) != len(points):
+        raise ValueError("extreme_subset needs distinct points")
     facets = conv_facets(points)
-    d = len(points[0])
-    keep = tuple(
-        p for p in points if rank(tuple(f for f in facets if dot(f, p) == ONE)) == d
-    )
-    return keep, facets
+    masks = _incidences(facets, points)
+    keep, tight = [], []
+    for i, p in enumerate(points):
+        through = [j for j, mask in enumerate(masks) if mask >> i & 1]
+        meet = -1
+        for j in through:
+            meet &= masks[j]
+        if through and meet == 1 << i:
+            keep.append(p)
+            tight.append(tuple(through))
+    return tuple(keep), facets, tuple(tight)
 
 
 def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
@@ -196,7 +227,7 @@ def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
     pointset = set(pts)
     if any(neg(p) not in pointset for p in pts):
         raise DegenerateInput(f"{kind} set is not symmetric under negation")
-    keep, hull = extreme_subset(pts)
+    keep, hull, _ = extreme_subset(pts)
     if len(keep) < len(pts):
         warnings.warn(
             f"dropped {len(pts) - len(keep)} non-extreme {kind} point(s) from input",
@@ -244,8 +275,8 @@ def enumerate_faces(v: VRep, h: HRep) -> tuple[FaceDescriptor, ...]:
     intersection enumerates them all.
     """
     facet_sets = [
-        frozenset(i for i, p in enumerate(v.vertices) if dot(f, p) == ONE)
-        for f in h.facets
+        frozenset(i for i in range(len(v.vertices)) if mask >> i & 1)
+        for mask in _incidences(h.facets, v.vertices)
     ]
     if not all(facet_sets):
         raise Discrepancy("every facet must contain at least one vertex")

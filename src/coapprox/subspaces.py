@@ -13,7 +13,9 @@ the full face lattice (``InducedBall.faces``) is only kept for reference.
 A facet of B_Y with row r has D = {g : g restricted to the basis equals r}
 (the facet affinely spans the slab where r is 1), so ``jy_set_via_faces``
 reads the norming-functional set of Y, and smooth-density, off the one
-conversion pass; the classifiers and the CLI answer from it.  ``jy_set``
+conversion pass, whose integer incidences also give the vertices on each
+facet (``InducedBall.facet_vertices``) and so the facet centroids that serve
+as witnesses; the classifiers and the CLI answer from it.  ``jy_set``
 decides each extreme functional by one strict linear system instead and
 serves as the oracle of ``jy --verify`` and of the test suite.
 """
@@ -21,14 +23,15 @@ serves as the oracle of ``jy --verify`` and of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import BasisMismatch, DependentBasis, DimensionOutOfRange, Discrepancy
 from .linalg import (
     Matrix,
-    ONE,
     Vector,
-    canonical_sorted,
+    _cleared,
     centroid,
     dot,
     is_zero,
@@ -43,7 +46,7 @@ from .linalg import (
     zeros,
 )
 from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, extreme_subset
-from .spaces import PolyhedralSpace, _checked, norm
+from .spaces import PolyhedralSpace, _checked
 
 
 @dataclass(frozen=True)
@@ -118,13 +121,18 @@ class FaceData:
 
 @dataclass(frozen=True)
 class InducedBall:
-    """B_X intersected with Y, in basis coordinates, with its dual face map."""
+    """B_X intersected with Y, in basis coordinates, with its dual face map.
+
+    ``facet_vertices`` lists, for each facet row, the indices into
+    ``vertices`` of the vertices on that facet.
+    """
 
     space: PolyhedralSpace
     subspace: Subspace
     vertices: tuple[Vector, ...]
     facet_rows: tuple[Vector, ...]
     facet_dual: tuple[tuple[int, ...], ...]
+    facet_vertices: tuple[tuple[int, ...], ...]
 
     @cached_property
     def faces(self) -> tuple[FaceData, ...]:
@@ -132,14 +140,11 @@ class InducedBall:
         m = len(self.subspace.basis)
         v = VRep(vertices=self.vertices, dim=m)
         h = HRep(facets=self.facet_rows, dim=m)
-        normers = [
-            frozenset(
-                i
-                for i, g in enumerate(self.space.dual_extreme)
-                if dot(g, embed(self.subspace, vert)) == ONE
-            )
-            for vert in self.vertices
-        ]
+        gm, functionals = _cleared(self.space.dual_extreme)
+        bm, basis = _cleared(self.subspace.basis)
+        pm, values = _ambient_values(functionals, basis, self.vertices)
+        one = gm * bm * pm
+        normers = [frozenset(i for i, value in enumerate(row) if value == one) for row in values]
         out = []
         for face in enumerate_faces(v, h):
             dual: frozenset[int] | None = None
@@ -149,23 +154,46 @@ class InducedBall:
         return tuple(out)
 
 
+def _ambient_values(functionals, basis, points) -> tuple[int, list[list[int]]]:
+    """Cleared extreme functionals of X at points embedded by a cleared basis.
+
+    With gm and bm the multipliers that cleared the functionals and the
+    basis, returns (pm, values) such that values[k][i] / (gm * bm * pm) is
+    <g_i, embed(y, points[k])>: the values are taken in ambient coordinates.
+    """
+    pm, coords = _cleared(points)
+    cols = list(zip(*basis))
+    values = []
+    for c in coords:
+        x = [sum(map(mul, c, col)) for col in cols]
+        values.append([sum(map(mul, g, x)) for g in functionals])
+    return pm, values
+
+
 @lru_cache(maxsize=256)
 def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
     """Compute B_Y = B_X /\\ Y in basis coordinates, with the facet dual map."""
     _check_ambient(space, y)
-    restricted = [restrict(y, g) for g in space.dual_extreme]
-    distinct = tuple(row for row in dict.fromkeys(restricted) if not is_zero(row))
+    # restrict(y, g) for every g, on cleared integers: Fractions are made
+    # once per distinct restricted row
+    gm, functionals = _cleared(space.dual_extreme)
+    bm, basis = _cleared(y.basis)
+    by_key: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(functionals):
+        by_key.setdefault(tuple(sum(map(mul, g, b)) for b in basis), []).append(i)
+    by_row = {tuple(Fraction(v, gm * bm) for v in key): dual for key, dual in by_key.items()}
+    distinct = tuple(row for row in by_row if not is_zero(row))
     # B_Y = {alpha : <row, alpha> <= 1}: its facet rows are the extreme rows,
-    # and the facets of their hull are its vertices (polarity).
-    rows, vertices = extreme_subset(distinct)
-    facet_rows = canonical_sorted(rows)
-    facet_dual = tuple(
-        tuple(i for i, row in enumerate(restricted) if row == facet)
-        for facet in facet_rows
-    )
+    # the facets of their hull are its vertices (polarity), and the hull
+    # facets through a row are the vertices on that facet of B_Y.
+    rows, vertices, tight = extreme_subset(distinct)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    facet_rows = tuple(rows[k] for k in order)
+    facet_dual = tuple(tuple(by_row.get(row, ())) for row in facet_rows)
     if not all(facet_dual):
         raise Discrepancy("every facet row of B_Y restricts from some dual extreme")
-    if any(norm(space, embed(y, vert)) != ONE for vert in vertices):
+    pm, values = _ambient_values(functionals, basis, vertices)
+    if any(max(row) != gm * bm * pm for row in values):
         raise Discrepancy("B_Y vertices lie on the unit sphere of X")
     return InducedBall(
         space=space,
@@ -173,6 +201,7 @@ def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
         vertices=vertices,
         facet_rows=facet_rows,
         facet_dual=facet_dual,
+        facet_vertices=tuple(tight[k] for k in order),
     )
 
 
@@ -227,11 +256,10 @@ def jy_set_via_faces(space: PolyhedralSpace, y: Subspace) -> JYSet:
     """
     ball = induced_ball(space, y)
     found: dict[int, Vector] = {}
-    for row, dual in zip(ball.facet_rows, ball.facet_dual):
+    for on_facet, dual in zip(ball.facet_vertices, ball.facet_dual):
         if len(dual) != 1 or dual[0] in found:
             continue
-        on_facet = [vert for vert in ball.vertices if dot(row, vert) == ONE]
-        found[dual[0]] = embed(y, centroid(on_facet))
+        found[dual[0]] = embed(y, centroid([ball.vertices[k] for k in on_facet]))
     indices = tuple(sorted(found))
     return JYSet(
         indices=indices,

@@ -240,13 +240,13 @@ solve_linear, extreme_subset = su.solve_linear, su.extreme_subset
 
 
 def extra_facet_row(points):
-    rows, vertices = extreme_subset(points)
-    return rows + ((7, 7),), vertices
+    rows, vertices, tight = extreme_subset(points)
+    return rows + ((7, 7),), vertices, tight + ((),)
 
 
 def doubled_vertices(points):
-    rows, vertices = extreme_subset(points)
-    return rows, tuple(tuple(2 * c for c in vert) for vert in vertices)
+    rows, vertices, tight = extreme_subset(points)
+    return rows, tuple(tuple(2 * c for c in vert) for vert in vertices), tight
 
 
 def attempt(label, call):

@@ -78,8 +78,13 @@ def test_ray_loop_needs_no_fraction_dot(monkeypatch):
     def refuse(u, v):
         raise AssertionError("the double description works on integer rays")
 
-    monkeypatch.setattr(polytope, "dot", refuse)
+    # the module no longer imports dot at all; the patch guards a return of it
+    monkeypatch.setattr(polytope, "dot", refuse, raising=False)
     assert len(polytope.conv_facets(OCTAHEDRON)) == 8
+    keep, facets, tight = polytope.extreme_subset(tuple(vec(p) for p in OCTAHEDRON))
+    assert len(keep) == 6 and len(facets) == 8 and all(len(t) == 4 for t in tight)
+    v, h = polytope.symmetric_ball(OCTAHEDRON, kind="vertex")
+    assert polytope.face_census(v, h) == {0: 6, 1: 12, 2: 8}
 
 
 def test_flat_input_rejected():
@@ -311,3 +316,69 @@ def test_conv_facets_matches_the_zero_set_rebuild(kind):
         assert 10 <= raised <= 90
     else:
         assert raised == 0
+
+
+# ``extreme_subset`` before the integer incidence pass: a point was kept when
+# the facets tight at it, found by Fraction dot products, had rank d.  Kept
+# verbatim as the oracle for the incidence-meet test.
+
+
+def _oracle_extreme_subset(points):
+    facets = ca.conv_facets(points)
+    d = len(points[0])
+    keep = tuple(
+        p for p in points if rank(tuple(f for f in facets if dot(f, p) == ONE)) == d
+    )
+    return keep, facets
+
+
+def _edge_midpoints(points):
+    """Midpoints of the hull edges among ``points``: on the boundary, not extreme."""
+    keep, facets = _oracle_extreme_subset(points)
+    d = len(points[0])
+    tight = {p: {j for j, f in enumerate(facets) if dot(f, p) == ONE} for p in keep}
+    return [
+        tuple((a + b) / 2 for a, b in zip(p, q))
+        for k, p in enumerate(keep)
+        for q in keep[k + 1:]
+        if rank(tuple(facets[j] for j in tight[p] & tight[q])) == d - 1
+    ]
+
+
+def _incidence_sets(rng):
+    """Symmetric spanning point sets in d = 2-6 with edge midpoints and interior points."""
+    yield [vec(p) for p in product((1, -1), repeat=3)]
+    yield [vec(p) for p in product((1, 0, -1), repeat=3)]
+    for _ in range(36):
+        d = rng.randint(2, 6)
+        pts = [rational_point(rng, d, -3, 3, 3) for _ in range(rng.randint(d, d + 3))]
+        pts += [neg(p) for p in pts]
+        if rank(tuple(pts)) < d:
+            continue
+        mids = _edge_midpoints(list(dict.fromkeys(pts)))
+        pts += rng.sample(mids, min(len(mids), 4))
+        pts += [tuple(x / 2 for x in rng.choice(pts)) for _ in range(2)]
+        pts.append(zeros(d))
+        yield list(dict.fromkeys(pts))
+
+
+def test_extreme_subset_matches_the_rank_test():
+    rng = seeded(254)
+    dropped = 0
+    for points in _incidence_sets(rng):
+        points = tuple(points)
+        keep, facets, tight = polytope.extreme_subset(points)
+        assert (keep, facets) == _oracle_extreme_subset(points)
+        assert tight == tuple(
+            tuple(j for j, f in enumerate(facets) if dot(f, p) == ONE) for p in keep
+        )
+        dropped += len(points) - len(keep)
+    assert dropped > 100
+
+
+def test_extreme_subset_refuses_duplicate_points():
+    pts = tuple(vec(p) for p in SQUARE)
+    with pytest.raises(ValueError, match="distinct"):
+        polytope.extreme_subset(pts + (pts[0],))
+    with pytest.raises(ValueError, match="distinct"):
+        polytope.extreme_subset(tuple(SQUARE) + (vec(SQUARE[1]),))

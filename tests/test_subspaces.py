@@ -1,12 +1,13 @@
 """Induced balls, facet duals, and the norming-functional set of a subspace."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 
 import coapprox as ca
 import coapprox.polytope
-from coapprox.linalg import canonical_sorted, dot, neg, unit
+from coapprox.linalg import ONE, canonical_sorted, dot, is_zero, neg, rank, unit
 from coapprox.polytope import conv_facets
 
 from conftest import NARROW_BASIS, independent_basis, prism_vertices, rational_point, seeded
@@ -199,3 +200,64 @@ def _assert_smooth_unit_normers(space, y, jy):
         assert ca.point_in_subspace(y, w)
         assert ca.norm(space, w) == 1
         assert ca.support_set(space, w).indices == (i,)
+
+
+def _oracle_induced_ball(space, y):
+    """``induced_ball`` before the integer incidence pass, without its caching.
+
+    Tight facets by Fraction dot products and a rank test, facet duals by
+    comparing every facet row with every restricted functional, and the
+    vertex-norm recheck through ``norm``.
+    """
+    restricted = [ca.restrict(y, g) for g in space.dual_extreme]
+    distinct = tuple(row for row in dict.fromkeys(restricted) if not is_zero(row))
+    vertices = conv_facets(distinct)
+    rows = tuple(
+        p for p in distinct
+        if rank(tuple(f for f in vertices if dot(f, p) == ONE)) == y.dim
+    )
+    facet_rows = canonical_sorted(rows)
+    facet_dual = tuple(
+        tuple(i for i, row in enumerate(restricted) if row == facet) for facet in facet_rows
+    )
+    assert all(ca.norm(space, ca.embed(y, vert)) == ONE for vert in vertices)
+    return vertices, facet_rows, facet_dual
+
+
+def _differential_sections(rng):
+    """Seeded max-norm, sum-norm and custom-ball sections with n = 3-7."""
+    for n in (3, 4, 5, 6, 7):
+        for make in (ca.make_linf, ca.make_l1):
+            for _ in range(3 if n < 7 else 1):
+                yield make(n), ca.subspace(independent_basis(rng, n, rng.randint(2, n - 1), -3, 3))
+    prism = ca.make_custom(vertices=prism_vertices())
+    for _ in range(4):
+        yield prism, ca.subspace(independent_basis(rng, 3, 2, -3, 3))
+    for n in (4, 5):
+        for _ in range(3):
+            pts = [rational_point(rng, n, -3, 3, 2) for _ in range(n + 2)]
+            while ca.rank(tuple(pts)) < n:
+                pts.append(rational_point(rng, n, -3, 3, 2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                space = ca.make_custom(vertices=pts + [neg(p) for p in pts])
+            yield space, ca.subspace(independent_basis(rng, n, rng.randint(2, n - 1), -3, 3))
+
+
+def test_induced_ball_matches_the_rank_test_route():
+    rng = seeded(35)
+    for space, y in _differential_sections(rng):
+        ca.induced_ball.cache_clear()
+        ball = ca.induced_ball(space, y)
+        assert (ball.vertices, ball.facet_rows, ball.facet_dual) == _oracle_induced_ball(space, y)
+        assert ball.facet_vertices == tuple(
+            tuple(k for k, vert in enumerate(ball.vertices) if dot(row, vert) == ONE)
+            for row in ball.facet_rows
+        )
+        if space.dim <= 4:
+            for data in ball.faces:
+                on_face = [ca.embed(y, ball.vertices[k]) for k in data.face.vertices]
+                assert data.dual == tuple(
+                    i for i, g in enumerate(space.dual_extreme)
+                    if all(dot(g, x) == ONE for x in on_face)
+                )
