@@ -14,9 +14,10 @@ anti-coproximinality search of classify exceeded its cap of LP calls, 3 a
 cross-check under --verify or a certificate recheck failed.
 
 The request may also arrive on stdin as one JSON document with keys space,
-basis, point, points, y0, epsilon, verify (any other key is an error); stdin
-is read only when neither --space nor --basis is given, and explicit flags
-win over the document's fields.
+basis, point, points, y0, epsilon, verify (any other key, point with
+points, or a verify that is not a JSON boolean is an error); stdin is read
+only when neither --space nor --basis is given, and explicit flags win over
+the document's fields.  Space specs refuse keys of other types as well.
 """
 
 from __future__ import annotations
@@ -103,17 +104,18 @@ def _space(spec) -> PolyhedralSpace:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("space spec must be an object with a \"type\" field")
     kind = spec["type"]
-    if kind == "linf":
-        return make_linf(int(spec["n"]))
-    if kind == "l1":
-        return make_l1(int(spec["n"]))
-    if kind == "custom":
-        if "vertices" in spec:
-            return make_custom(vertices=_matrix(spec["vertices"]))
-        if "facets" in spec:
-            return make_custom(facets=_matrix(spec["facets"]))
-        raise ValueError("custom space spec needs \"vertices\" or \"facets\"")
-    raise ValueError(f"unknown space type {kind!r}")
+    if kind not in ("linf", "l1", "custom"):
+        raise ValueError(f"unknown space type {kind!r}")
+    fields = set(spec) - {"type"}
+    unknown = fields - ({"vertices", "facets"} if kind == "custom" else {"n"})
+    if unknown:
+        raise ValueError(f"unknown space key(s): {', '.join(sorted(unknown))}")
+    if kind != "custom":
+        return (make_linf if kind == "linf" else make_l1)(int(spec["n"]))
+    if len(fields) != 1:
+        raise ValueError("custom space spec needs exactly one of \"vertices\" and \"facets\"")
+    (key,) = fields
+    return make_custom(**{key: _matrix(spec[key])})
 
 
 def _encode(value):
@@ -182,6 +184,10 @@ def _gather(args) -> Request:
             unknown = set(doc) - {"space", "basis", "point", "points", "y0", "epsilon", "verify"}
             if unknown:
                 raise ValueError(f"unknown request key(s): {', '.join(sorted(unknown))}")
+            if "point" in doc and "points" in doc:
+                raise ValueError("request takes \"point\" or \"points\", not both")
+            if not isinstance(doc.get("verify", False), bool):
+                raise ValueError("request key \"verify\" must be true or false")
 
     req = Request()
     space_spec = args.space if args.space is not None else doc.get("space")
@@ -206,7 +212,7 @@ def _gather(args) -> Request:
     eps = args.epsilon if args.epsilon is not None else doc.get("epsilon")
     if eps is not None:
         req.epsilon = epsilon_value(eps)
-    req.verify = bool(args.verify or doc.get("verify", False))
+    req.verify = args.verify or doc.get("verify", False)
     return req
 
 

@@ -387,16 +387,14 @@ def necessary_condition_check(space: PolyhedralSpace, y: Subspace, x) -> bool:
 
     Two faces of the dual ball intersect iff they share an extreme point, so
     the check is a finite intersection of index sets, tried at the vertices
-    of B_Y, whose support sets are the largest.
+    of B_Y, whose support sets are the largest; ``induced_ball`` records
+    each vertex's support set as its dual face.
     """
     px = _checked(space.dim, x)
     if is_zero(px):
         raise ZeroVector("the condition requires nonzero x")
     supp = frozenset(support_set(space, px).indices)
-    return any(
-        not supp.isdisjoint(support_set(space, embed(y, vert)).indices)
-        for vert in induced_ball(space, y).vertices
-    )
+    return any(not supp.isdisjoint(dual) for dual in induced_ball(space, y).vertex_dual)
 
 
 __all__ = [

@@ -31,8 +31,8 @@ class PolyhedralSpace:
 
     ``kind`` is "linf", "l1", or "custom" and only steers fast-path dispatch;
     all generic operations use the two ball representations alone.  The hash
-    is computed once: cached lookups keyed by a space would otherwise rehash
-    every Fraction of both representations.
+    is computed once, from the shorter representation (it determines the
+    other); equality still compares every field.
     """
 
     kind: str
@@ -42,7 +42,7 @@ class PolyhedralSpace:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.kind, self.dim, self.vertices, self.dual_extreme))
+        return hash((self.kind, self.dim, min(self.vertices, self.dual_extreme, key=len)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -11,13 +11,14 @@ holds on the facets, and a "some y in Y" test once it holds at some vertex;
 the full face lattice (``InducedBall.faces``) is only kept for reference.
 
 A facet of B_Y with row r has D = {g : g restricted to the basis equals r}
-(the facet affinely spans the slab where r is 1), so ``jy_set_via_faces``
-reads the norming-functional set of Y, and smooth-density, off the one
-conversion pass, whose integer incidences also give the vertices on each
-facet (``InducedBall.facet_vertices``) and so the facet centroids that serve
-as witnesses; the classifiers and the CLI answer from it.  ``jy_set``
-decides each extreme functional by one strict linear system instead and
-serves as the oracle of ``jy --verify`` and of the test suite.
+(the facet affinely spans the slab where r is 1).  One integer pass after
+the conversion embeds each vertex, rechecks its norm, records its dual face
+(``InducedBall.vertex_dual``) and builds the norming-functional set of Y
+(``InducedBall.jy``, read by ``jy_set_via_faces``), whose witnesses are the
+embedded centroids of the facets with a singleton dual; the classifiers and
+the CLI answer from it.  ``jy_set`` decides each extreme functional by one
+strict linear system instead and serves as the oracle of ``jy --verify``
+and of the test suite.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .linalg import (
     Matrix,
     Vector,
     _cleared,
-    centroid,
     dot,
     is_zero,
     mat,
@@ -120,11 +120,37 @@ class FaceData:
 
 
 @dataclass(frozen=True)
+class JYSet:
+    """Extreme dual functionals of X norming some smooth unit vector of Y.
+
+    ``witnesses`` are smooth points of X on the unit sphere of Y, one per
+    functional, with <g, witness> = 1 exactly.
+    """
+
+    indices: tuple[int, ...]
+    functionals: tuple[Vector, ...]
+    witnesses: tuple[Vector, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.indices)
+
+
+def _jy(space: PolyhedralSpace, found: dict[int, Vector]) -> JYSet:
+    """The set of the functionals indexed by ``found``, each with its witness."""
+    indices = tuple(sorted(found))
+    functionals = tuple(space.dual_extreme[i] for i in indices)
+    return JYSet(indices, functionals, tuple(found[i] for i in indices))
+
+
+@dataclass(frozen=True)
 class InducedBall:
     """B_X intersected with Y, in basis coordinates, with its dual face map.
 
-    ``facet_vertices`` lists, for each facet row, the indices into
-    ``vertices`` of the vertices on that facet.
+    ``vertex_dual[k]`` indexes the extreme functionals equal to 1 at
+    ``vertices[k]``: its dual face, which is its support set because the
+    vertex has norm 1.  ``jy`` is the norming-functional set of Y with its
+    facet-centroid witnesses.
     """
 
     space: PolyhedralSpace
@@ -132,7 +158,8 @@ class InducedBall:
     vertices: tuple[Vector, ...]
     facet_rows: tuple[Vector, ...]
     facet_dual: tuple[tuple[int, ...], ...]
-    facet_vertices: tuple[tuple[int, ...], ...]
+    vertex_dual: tuple[tuple[int, ...], ...]
+    jy: JYSet
 
     @cached_property
     def faces(self) -> tuple[FaceData, ...]:
@@ -140,11 +167,7 @@ class InducedBall:
         m = len(self.subspace.basis)
         v = VRep(vertices=self.vertices, dim=m)
         h = HRep(facets=self.facet_rows, dim=m)
-        gm, functionals = _cleared(self.space.dual_extreme)
-        bm, basis = _cleared(self.subspace.basis)
-        pm, values = _ambient_values(functionals, basis, self.vertices)
-        one = gm * bm * pm
-        normers = [frozenset(i for i, value in enumerate(row) if value == one) for row in values]
+        normers = [frozenset(dual) for dual in self.vertex_dual]
         out = []
         for face in enumerate_faces(v, h):
             dual: frozenset[int] | None = None
@@ -154,25 +177,9 @@ class InducedBall:
         return tuple(out)
 
 
-def _ambient_values(functionals, basis, points) -> tuple[int, list[list[int]]]:
-    """Cleared extreme functionals of X at points embedded by a cleared basis.
-
-    With gm and bm the multipliers that cleared the functionals and the
-    basis, returns (pm, values) such that values[k][i] / (gm * bm * pm) is
-    <g_i, embed(y, points[k])>: the values are taken in ambient coordinates.
-    """
-    pm, coords = _cleared(points)
-    cols = list(zip(*basis))
-    values = []
-    for c in coords:
-        x = [sum(map(mul, c, col)) for col in cols]
-        values.append([sum(map(mul, g, x)) for g in functionals])
-    return pm, values
-
-
 @lru_cache(maxsize=256)
 def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
-    """Compute B_Y = B_X /\\ Y in basis coordinates, with the facet dual map."""
+    """Compute B_Y = B_X /\\ Y in basis coordinates, with its dual faces and J_Y."""
     _check_ambient(space, y)
     # restrict(y, g) for every g, on cleared integers: Fractions are made
     # once per distinct restricted row
@@ -192,34 +199,35 @@ def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
     facet_dual = tuple(tuple(by_row.get(row, ())) for row in facet_rows)
     if not all(facet_dual):
         raise Discrepancy("every facet row of B_Y restricts from some dual extreme")
-    pm, values = _ambient_values(functionals, basis, vertices)
-    if any(max(row) != gm * bm * pm for row in values):
-        raise Discrepancy("B_Y vertices lie on the unit sphere of X")
+    # each vertex embedded once on cleared integers: ambient[k] is
+    # bm * pm * embed(y, vertices[k]), so g_i is 1 at the vertex exactly
+    # when its integer value there is gm * bm * pm
+    pm, coords = _cleared(vertices)
+    cols = list(zip(*basis))
+    ambient = [[sum(map(mul, c, col)) for col in cols] for c in coords]
+    one = gm * bm * pm
+    vertex_dual = []
+    for x in ambient:
+        values = [sum(map(mul, g, x)) for g in functionals]
+        if max(values) != one:
+            raise Discrepancy("B_Y vertices lie on the unit sphere of X")
+        vertex_dual.append(tuple(i for i, value in enumerate(values) if value == one))
+    # a facet with singleton dual g lies in the interior of g's facet of B_X,
+    # so its vertex centroid, embedded, is a smooth witness for g
+    found: dict[int, Vector] = {}
+    for k, dual in zip(order, facet_dual):
+        if len(dual) == 1 and dual[0] not in found:
+            total = [sum(col) for col in zip(*(ambient[v] for v in tight[k]))]
+            found[dual[0]] = tuple(Fraction(t, len(tight[k]) * bm * pm) for t in total)
     return InducedBall(
         space=space,
         subspace=y,
         vertices=vertices,
         facet_rows=facet_rows,
         facet_dual=facet_dual,
-        facet_vertices=tuple(tight[k] for k in order),
+        vertex_dual=tuple(vertex_dual),
+        jy=_jy(space, found),
     )
-
-
-@dataclass(frozen=True)
-class JYSet:
-    """Extreme dual functionals of X norming some smooth unit vector of Y.
-
-    ``witnesses`` are smooth points of X on the unit sphere of Y, one per
-    functional, with <g, witness> = 1 exactly.
-    """
-
-    indices: tuple[int, ...]
-    functionals: tuple[Vector, ...]
-    witnesses: tuple[Vector, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
 
 
 def jy_set(space: PolyhedralSpace, y: Subspace) -> JYSet:
@@ -230,7 +238,7 @@ def jy_set(space: PolyhedralSpace, y: Subspace) -> JYSet:
     The partner -g forces <g, y> > 0, so y / <g, y> is a smooth unit witness.
     """
     _check_ambient(space, y)
-    indices, witnesses = [], []
+    found: dict[int, Vector] = {}
     for j, g in enumerate(space.dual_extreme):
         rows = tuple(
             restrict(y, sub(g, other)) for jj, other in enumerate(space.dual_extreme) if jj != j
@@ -238,13 +246,8 @@ def jy_set(space: PolyhedralSpace, y: Subspace) -> JYSet:
         feas = strict_feasibility(rows)
         if feas.feasible:
             point = embed(y, feas.witness)
-            indices.append(j)
-            witnesses.append(scale(point, 1 / dot(g, point)))
-    return JYSet(
-        indices=tuple(indices),
-        functionals=tuple(space.dual_extreme[i] for i in indices),
-        witnesses=tuple(witnesses),
-    )
+            found[j] = scale(point, 1 / dot(g, point))
+    return _jy(space, found)
 
 
 def jy_set_via_faces(space: PolyhedralSpace, y: Subspace) -> JYSet:
@@ -252,20 +255,9 @@ def jy_set_via_faces(space: PolyhedralSpace, y: Subspace) -> JYSet:
 
     A facet row with exactly one restricting extreme functional consists of
     smooth points of X in its relative interior; the facet centroid is an
-    explicit witness.
+    explicit witness.  ``induced_ball`` builds the set and the witnesses.
     """
-    ball = induced_ball(space, y)
-    found: dict[int, Vector] = {}
-    for on_facet, dual in zip(ball.facet_vertices, ball.facet_dual):
-        if len(dual) != 1 or dual[0] in found:
-            continue
-        found[dual[0]] = embed(y, centroid([ball.vertices[k] for k in on_facet]))
-    indices = tuple(sorted(found))
-    return JYSet(
-        indices=indices,
-        functionals=tuple(space.dual_extreme[i] for i in indices),
-        witnesses=tuple(found[i] for i in indices),
-    )
+    return induced_ball(space, y).jy
 
 
 def smooth_dense_in(space: PolyhedralSpace, y: Subspace) -> bool:

@@ -233,6 +233,28 @@ class TestDocumentInput:
         assert code == 1
         assert "budget" in out["error"]["message"]
 
+    def test_point_and_points_together_are_one(self, capsys, monkeypatch):
+        doc = {"space": {"type": "linf", "n": 3}, "point": [3, -2, 1], "points": [[1, 0, 0]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out = run(capsys, "norm")
+        assert code == 1
+        assert out["error"] == {
+            "type": "ValueError", "message": 'request takes "point" or "points", not both'
+        }
+
+    @pytest.mark.parametrize(
+        "verify", ["false", "true", 0, 1, None, []],
+        ids=["string-false", "string-true", "zero", "one", "null", "list"],
+    )
+    def test_verify_that_is_not_a_boolean_is_one(self, capsys, monkeypatch, verify):
+        doc = {"space": {"type": "linf", "n": 3}, "basis": [[1, 1, 2], [2, 2, 1]], "verify": verify}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out = run(capsys, "classify")
+        assert code == 1
+        assert out["error"] == {
+            "type": "ValueError", "message": 'request key "verify" must be true or false'
+        }
+
 
 class TestExitCodes:
     def test_malformed_json_is_one(self, capsys):
@@ -316,6 +338,31 @@ class TestExitCodes:
         assert out["error"] == {
             "type": "ValueError", "message": "subspace lives in a different ambient dimension"
         }
+
+    def test_custom_spec_with_vertices_and_facets_is_one(self, capsys):
+        spec = json.loads(prism_space_json())
+        spec["facets"] = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+        code, out = run(capsys, "norm", "--space", json.dumps(spec), "--point", "[1,0,0]")
+        assert code == 1
+        assert out["error"] == {
+            "type": "ValueError",
+            "message": 'custom space spec needs exactly one of "vertices" and "facets"',
+        }
+
+    @pytest.mark.parametrize(
+        ("spec", "keys"),
+        [
+            ({"type": "linf", "n": 3, "vertices": [[1, 0, 0], [-1, 0, 0]]}, "vertices"),
+            ({"type": "l1", "n": 3, "N": 4, "seed": 1}, "N, seed"),
+            ({"type": "custom", "facets": [[1, 0], [-1, 0], [0, 1], [0, -1]], "n": 2}, "n"),
+        ],
+        ids=["linf", "l1", "custom"],
+    )
+    def test_unknown_space_key_is_one(self, capsys, spec, keys):
+        point = "[1,0]" if spec["type"] == "custom" else "[1,0,0]"
+        code, out = run(capsys, "norm", "--space", json.dumps(spec), "--point", point)
+        assert code == 1
+        assert out["error"] == {"type": "ValueError", "message": f"unknown space key(s): {keys}"}
 
     def test_bool_in_vector_is_one(self, capsys):
         code, out = run(capsys, "norm", "--space", LINF3, "--point", "[true,0,0]")

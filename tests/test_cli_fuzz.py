@@ -3,8 +3,9 @@
 Requests draw a subcommand, flags and a stdin document from bounded
 strategies: max-norm, sum-norm and custom spaces in at most four dimensions,
 small integers and "p/q" strings, mixed with wrong-typed values, unknown
-keys, empty arrays, points of the wrong dimension and balls that are not
-symmetric.
+keys, empty arrays, points of the wrong dimension, balls that are not
+symmetric, space specs with keys of another type or both representations,
+and documents with both point and points.
 """
 
 import contextlib
@@ -89,7 +90,9 @@ def requests(draw):
         "epsilon": st.one_of(junk, rationals),
         "verify": junk,
     }
-    faults = (None,) * 8 + tuple(fields) + ("missing", "unknown key", "command", "document", "length")
+    faults = (None,) * 8 + tuple(fields) + (
+        "missing", "unknown key", "command", "document", "length", "space key", "point and points"
+    )
     fault = draw(st.sampled_from(faults))
     if fault in wrong:
         fields[fault] = draw(wrong[fault])
@@ -103,13 +106,23 @@ def requests(draw):
         del fields[draw(st.sampled_from(sorted(fields)))]
     elif fault == "unknown key":
         fields["colour"] = draw(junk)
+    elif fault == "space key":
+        space = dict(fields["space"])
+        if space["type"] == "custom":
+            # both representations at once
+            space["facets" if "vertices" in space else "vertices"] = draw(st.lists(vectors(n), max_size=4))
+        else:
+            space[draw(st.sampled_from(["vertices", "facets", "N"]))] = draw(junk)
+        fields["space"] = space
     if fault == "command":
         argv = [draw(st.text(max_size=4))]
     else:
         argv = [draw(st.sampled_from(POINT_COMMANDS if fault == "length" else COMMANDS))]
     if draw(st.booleans()):
         doc = dict(fields)
-        if "points" in doc and draw(st.booleans()) and isinstance(doc["points"], list) and doc["points"]:
+        if fault == "point and points":
+            doc["point"] = doc["points"][0]
+        elif "points" in doc and draw(st.booleans()) and isinstance(doc["points"], list) and doc["points"]:
             doc["point"] = doc.pop("points")[0]
         stdin = draw(st.sampled_from(["", "[1]", "{", "null"])) if fault == "document" else json.dumps(doc)
     else:

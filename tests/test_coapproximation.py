@@ -346,6 +346,12 @@ class TestStrongClassification:
         with pytest.raises(ca.DimensionOutOfRange):
             ca.is_strongly_anti_coproximinal(linf3, ca.subspace([(1, 1, 1)]))
 
+    def test_anti_and_strong_share_one_jy_set(self, prism, prism_tilted, linf3, narrow, wide):
+        for space, y in ((prism, prism_tilted), (linf3, narrow), (linf3, wide)):
+            anti = ca.is_anti_coproximinal(space, y)
+            assert anti.jy is ca.is_strongly_anti_coproximinal(space, y).jy
+            assert anti.jy is ca.induced_ball(space, y).jy
+
     def test_no_lp_on_a_cold_ball(self, monkeypatch, prism, prism_tilted, linf3, narrow):
         def refuse(*args):
             raise AssertionError("an LP was solved")
@@ -474,6 +480,27 @@ class TestFacetsDecide:
             assert 0 <= ca.eps_coapprox_defect(space, y, x, (0, 0, 0)) <= 1
             assert ca.sufficient_condition_strong(space, y, x) in (True, False)
             assert ca.necessary_condition_check(space, y, x) in (True, False)
+        ca.induced_ball.cache_clear()
+
+    @pytest.mark.filterwarnings("ignore:dropped .* non-extreme")
+    def test_no_fraction_embedding_on_a_cold_ball(self, monkeypatch, prism, prism_flat, prism_tilted):
+        def refuse(*args):
+            raise AssertionError("a point was embedded in Fractions")
+
+        monkeypatch.setattr(coapprox.subspaces, "embed", refuse)
+        monkeypatch.setattr(coapprox.coapproximation, "embed", refuse)
+        monkeypatch.setattr(coapprox.subspaces, "centroid", refuse, raising=False)
+        ca.induced_ball.cache_clear()
+        rng = seeded(223)
+        cases = [(prism, prism_flat), (prism, prism_tilted)]
+        for _ in range(2):
+            cases.append((_random_custom_ball(rng, 4), ca.subspace(independent_basis(rng, 4, 2))))
+        for space, y in cases:
+            result = ca.classify(space, y)
+            assert result.engine == "generic" and result.certificates["jy_size"] > 0
+            x = nonzero_point(rng, space.dim, -3, 3, 1)
+            assert ca.necessary_condition_check(space, y, x) in (True, False)
+            assert ca.induced_ball(space, y).faces
         ca.induced_ball.cache_clear()
 
     def test_agrees_with_the_face_scan(self, prism, prism_flat, prism_tilted, prism_steep):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import coapprox as ca
 from coapprox.linalg import dot, neg
 
-from conftest import rational_point, seeded
+from conftest import prism_vertices, rational_point, seeded
 
 F = Fraction
 
@@ -56,6 +56,10 @@ class TestBuilders:
             (ca.make_l1(5), ca.make_l1(5)),
             (ca.make_custom(facets=[(1, 2), (2, -1), (-1, -2), (-2, 1)]),
              ca.make_custom(facets=[(-2, 1), (-1, -2), ("2", "-1"), (F(1), F(2))])),
+            # one ball given by its 12 vertices and by its 8 facets
+            (ca.make_custom(vertices=prism_vertices()),
+             ca.make_custom(facets=[(1, 1, 0), (-1, 1, 0), (1, -1, 0), (-1, -1, 0),
+                                    (0, 2, 0), (0, -2, 0), (0, 0, 1), (0, 0, -1)])),
         ]
         for a, b in pairs:
             assert a is not b and a == b and hash(a) == hash(b)

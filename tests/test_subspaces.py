@@ -7,7 +7,7 @@ import pytest
 
 import coapprox as ca
 import coapprox.polytope
-from coapprox.linalg import ONE, canonical_sorted, dot, is_zero, neg, rank, unit
+from coapprox.linalg import ONE, canonical_sorted, centroid, dot, is_zero, neg, rank, unit
 from coapprox.polytope import conv_facets
 
 from conftest import NARROW_BASIS, independent_basis, prism_vertices, rational_point, seeded
@@ -224,6 +224,29 @@ def _oracle_induced_ball(space, y):
     return vertices, facet_rows, facet_dual
 
 
+def _oracle_jy_set_via_faces(space, y):
+    """``jy_set_via_faces`` before ``induced_ball`` built J_Y: Fraction centroids, embedded.
+
+    The vertices on each facet come from Fraction dot products with its row.
+    """
+    ball = ca.induced_ball(space, y)
+    facet_vertices = tuple(
+        tuple(k for k, vert in enumerate(ball.vertices) if dot(row, vert) == ONE)
+        for row in ball.facet_rows
+    )
+    found = {}
+    for on_facet, dual in zip(facet_vertices, ball.facet_dual):
+        if len(dual) != 1 or dual[0] in found:
+            continue
+        found[dual[0]] = ca.embed(y, centroid([ball.vertices[k] for k in on_facet]))
+    indices = tuple(sorted(found))
+    return ca.JYSet(
+        indices=indices,
+        functionals=tuple(space.dual_extreme[i] for i in indices),
+        witnesses=tuple(found[i] for i in indices),
+    )
+
+
 def _differential_sections(rng):
     """Seeded max-norm, sum-norm and custom-ball sections with n = 3-7."""
     for n in (3, 4, 5, 6, 7):
@@ -250,9 +273,9 @@ def test_induced_ball_matches_the_rank_test_route():
         ca.induced_ball.cache_clear()
         ball = ca.induced_ball(space, y)
         assert (ball.vertices, ball.facet_rows, ball.facet_dual) == _oracle_induced_ball(space, y)
-        assert ball.facet_vertices == tuple(
-            tuple(k for k, vert in enumerate(ball.vertices) if dot(row, vert) == ONE)
-            for row in ball.facet_rows
+        assert ball.jy == _oracle_jy_set_via_faces(space, y)
+        assert ball.vertex_dual == tuple(
+            ca.support_set(space, ca.embed(y, vert)).indices for vert in ball.vertices
         )
         if space.dim <= 4:
             for data in ball.faces:
