@@ -47,7 +47,6 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
-    _cleared,
     centroid,
     dot,
     fr,
@@ -60,7 +59,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .spaces import PolyhedralSpace, _checked, norm, support_set
+from .spaces import PolyhedralSpace, _checked, _values, support_set
 from .subspaces import (
     JYSet,
     Subspace,
@@ -71,7 +70,6 @@ from .subspaces import (
     jy_set_via_faces,
     require_coordinates,
     require_proper,
-    restrict,
     smooth_dense_in,
 )
 
@@ -93,9 +91,8 @@ def bj_orthogonal(space: PolyhedralSpace, x, y) -> bool:
     J(x) is the convex hull of finitely many extreme functionals, so it
     contains an annihilator of y iff their values on y straddle zero.
     """
-    py = _checked(space.dim, y)
-    values = [dot(g, py) for g in support_set(space, x).functionals]
-    return min(values) <= 0 <= max(values)
+    _, values = _values(space, _checked(space.dim, y))
+    return _gap([values[i] for i in support_set(space, x).indices]) == 0
 
 
 def bj_orthogonal_lambda_oracle(space: PolyhedralSpace, x, y) -> bool:
@@ -116,30 +113,30 @@ def bj_orthogonal_lambda_oracle(space: PolyhedralSpace, x, y) -> bool:
     res = lp_solve(problem, "min")
     if res.status != "optimal":
         raise Discrepancy("the envelope LP is feasible and bounded below")
-    return res.value == norm(space, px)
+    return res.value == max(dot(g, px) for g in space.dual_extreme)
 
 
 def eps_bj_orthogonal(space: PolyhedralSpace, x, y, eps) -> bool:
     """Approximate orthogonality: some f in J(x) has |f(y)| <= eps * ||y||."""
     epsilon = epsilon_value(eps)
-    py = _checked(space.dim, y)
-    values = [dot(g, py) for g in support_set(space, x).functionals]
-    return _gap(values) <= epsilon * norm(space, py)
+    _, values = _values(space, _checked(space.dim, y))
+    return _gap([values[i] for i in support_set(space, x).indices]) <= epsilon * max(values)
 
 
-def _gap(values) -> Fraction:
+def _gap(values) -> int:
     """Distance from 0 to the hull of the values: 0 when they straddle zero."""
-    return max(min(values), -max(values), ZERO)
+    return max(min(values), -max(values), 0)
 
 
-def _facet_gaps(space: PolyhedralSpace, y: Subspace, diff: Vector):
-    """The gap of conv D(G) on diff for each facet G of B_Y.
+def _worst_gap(space: PolyhedralSpace, y: Subspace, diff: Vector) -> tuple[int, int]:
+    """m times the worst gap of conv D(G) on diff over the facets G of B_Y, and m * ||diff||.
 
     A smaller face has a larger dual face, whose values contain these, so no
     face of B_Y has a larger gap than the worst facet.
     """
-    for dual in induced_ball(space, y).facet_dual:
-        yield _gap([dot(space.dual_extreme[i], diff) for i in dual])
+    _, values = _values(space, diff)
+    gaps = (_gap([values[i] for i in dual]) for dual in induced_ball(space, y).facet_dual)
+    return max(gaps), max(values)
 
 
 def is_best_coapprox(space: PolyhedralSpace, y: Subspace, x, y0) -> bool:
@@ -152,7 +149,7 @@ def is_best_coapprox(space: PolyhedralSpace, y: Subspace, x, y0) -> bool:
     _check_ambient(space, y)
     require_coordinates(y, y0, "y0")
     diff = sub(_checked(space.dim, x), vec(y0))
-    return is_zero(diff) or all(gap == 0 for gap in _facet_gaps(space, y, diff))
+    return is_zero(diff) or _worst_gap(space, y, diff)[0] == 0
 
 
 def eps_coapprox_defect(space: PolyhedralSpace, y: Subspace, x, y0) -> Fraction:
@@ -167,7 +164,7 @@ def eps_coapprox_defect(space: PolyhedralSpace, y: Subspace, x, y0) -> Fraction:
     diff = sub(_checked(space.dim, x), vec(y0))
     if is_zero(diff):
         raise DegenerateQuery("defect is undefined for x = y0")
-    return max(_facet_gaps(space, y, diff)) / norm(space, diff)
+    return Fraction(*_worst_gap(space, y, diff))
 
 
 @dataclass(frozen=True)
@@ -188,8 +185,8 @@ class CoapproxResult:
     failed_face: int | None = None
 
 
-def _facet_classes(space: PolyhedralSpace, y: Subspace) -> list[tuple[int, tuple[Vector, ...]]]:
-    """One facet of B_Y per +- pair, as (row index, functionals of its dual face).
+def _facet_classes(space: PolyhedralSpace, y: Subspace) -> list[tuple[int, tuple[int, ...]]]:
+    """One facet of B_Y per +- pair, as (row index, its dual face as dual indices).
 
     Opposite facets carry negated dual faces and yield the same conditions.
     """
@@ -199,7 +196,7 @@ def _facet_classes(space: PolyhedralSpace, y: Subspace) -> list[tuple[int, tuple
     for idx, (row, dual) in enumerate(zip(ball.facet_rows, ball.facet_dual)):
         if neg(row) not in seen:
             seen.add(row)
-            classes.append((idx, tuple(space.dual_extreme[i] for i in dual)))
+            classes.append((idx, dual))
     return classes
 
 
@@ -214,13 +211,13 @@ def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResul
     time, with one LP each; the class whose interval first makes the system
     infeasible is the failed facet.
     """
-    px = _checked(space.dim, x)
+    m, values = _values(space, _checked(space.dim, x))
+    rows = induced_ball(space, y).facet_rows
     system: list[Constraint] = []
     point = None
     for idx, dual in _facet_classes(space, y):
-        values = [dot(g, px) for g in dual]
-        row = restrict(y, dual[0])
-        system += [(row, ">=", min(values)), (row, "<=", max(values))]
+        low, high = min(values[i] for i in dual), max(values[i] for i in dual)
+        system += [(rows[idx], ">=", Fraction(low, m)), (rows[idx], "<=", Fraction(high, m))]
         res = lp_solve(LpProblem(objective=zeros(y.dim), constraints=tuple(system)), "max")
         if res.status != "optimal":
             return CoapproxResult(exists=False, failed_face=idx)
@@ -254,11 +251,11 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
     the pairs depth first, pruning infeasible prefixes.  The LP calls are
     capped at _ANTI_LP_CAP.
     """
-    classes = _facet_classes(space, y)
+    classes = [[space.dual_extreme[i] for i in dual] for _, dual in _facet_classes(space, y)]
     calls = itertools.count(1)
 
     def descend(system: list[Constraint], level: int) -> Vector | None:
-        for g_minus, g_plus in itertools.product(classes[level][1], repeat=2):
+        for g_minus, g_plus in itertools.product(classes[level], repeat=2):
             if next(calls) > _ANTI_LP_CAP:
                 raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
             rows = system + [(g_minus, "<=", ZERO), (g_plus, ">=", ZERO)]
@@ -332,7 +329,7 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
     Holds exactly when the norming-functional set is all of the extreme dual
     functionals, i.e. Y meets the interior of every facet of B_X.  A "no" is
     certified without an LP by the vertex centroid of a missed facet, rechecked
-    by exact integer dot products and to lie outside Y.
+    on the space's integer rows and to lie outside Y.
     """
     require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)
@@ -341,22 +338,21 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
 
     missed_idx = next(i for i in range(len(space.dual_extreme)) if i not in jy.indices)
     g = space.dual_extreme[missed_idx]
-    gm, functionals = _cleared(space.dual_extreme)
-    vm, vertices = _cleared(space.vertices)
+    gm, functionals = space._functional_ints
+    vm, vertices = space._vertex_ints
     f = functionals[missed_idx]
     point = centroid(
         [vert for vert, ints in zip(space.vertices, vertices) if sum(map(mul, f, ints)) == gm * vm]
     )
-    pm, (ints,) = _cleared([point])
-    one = gm * pm
-    values = {other: sum(map(mul, h, ints)) for other, h in zip(space.dual_extreme, functionals)}
-    if values.pop(g) != one:
+    one, values = _values(space, point)
+    if values[missed_idx] != one:
         raise Discrepancy("the certificate point is not on the missed facet")
-    if max(values.values()) >= one:
+    if max(values[:missed_idx] + values[missed_idx + 1:]) >= one:
         raise Discrepancy("the certificate point is not interior to the missed facet")
     if coordinates(y, point) is not None:
         raise Discrepancy("an interior point of the missed facet lies in Y")
-    eps0 = Fraction(max(abs(value) for other, value in values.items() if other != neg(g)), one)
+    pair = (missed_idx, space.dual_extreme.index(neg(g)))
+    eps0 = Fraction(max(abs(value) for i, value in enumerate(values) if i not in pair), one)
     return StrongResult(
         status="no", jy=jy, missed=g, interior_point=point, epsilon0=eps0
     )
@@ -374,8 +370,10 @@ def sufficient_condition_strong(space: PolyhedralSpace, y: Subspace, x) -> bool:
     px = _checked(space.dim, x)
     if coordinates(y, px) is not None:
         raise PointInSubspace("the condition is posed for x outside Y")
-    supp = frozenset(support_set(space, px).indices)
-    supp_neg = frozenset(support_set(space, neg(px)).indices)
+    _, values = _values(space, px)
+    top, bottom = max(values), min(values)
+    supp = frozenset(i for i, value in enumerate(values) if value == top)
+    supp_neg = frozenset(i for i, value in enumerate(values) if value == bottom)
     return any(
         supp.issuperset(dual) or supp_neg.issuperset(dual)
         for dual in induced_ball(space, y).facet_dual

@@ -30,13 +30,12 @@ from .errors import DegenerateInput, Discrepancy, UnboundedInput
 from .linalg import (
     ONE,
     Vector,
-    ZERO,
     _cleared,
+    _reduce,
     affine_rank,
     canonical_sorted,
     neg,
     rank,
-    solve_linear,
     vec,
     zeros,
 )
@@ -77,30 +76,21 @@ def _primitive(ray) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def _initial_rays(rows: list[Vector], d: int) -> tuple[list[int], list[Vector]]:
-    """Pick d independent rows and return their indices with the inverse columns.
+def _initial_rays(rows: list, d: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Pick the first d independent rows; return their indices and the primitive inverse columns.
 
     The subcone {y : B y >= 0} for the picked nonsingular B is simplicial; its
-    extreme rays are the columns of B^{-1}.
+    extreme rays are the columns of B^{-1}.  Two integer eliminations give
+    both: the pivot columns of the transposed rows are the first d
+    independent rows, and eliminating [B | I] leaves p * B^{-1} on the right,
+    p the last pivot, so each of its columns times p points along a ray.
     """
-    picked: list[int] = []
-    basis: list[Vector] = []
-    for i, row in enumerate(rows):
-        if rank(tuple(basis) + (row,)) > len(basis):
-            picked.append(i)
-            basis.append(row)
-            if len(basis) == d:
-                break
-    if len(basis) < d:
+    picked, _ = _reduce([list(col) for col in zip(*rows)], len(rows))
+    if len(picked) < d:
         raise DegenerateInput("input rows do not span the space")
-    cols = []
-    b = tuple(basis)
-    for j in range(d):
-        sol = solve_linear(b, tuple(ONE if k == j else ZERO for k in range(d)))
-        if sol.kind != "unique":
-            raise Discrepancy("independent rows give a unique inverse column")
-        cols.append(sol.particular)
-    return picked, cols
+    inverse = [[*rows[i], *(int(j == k) for j in range(d))] for k, i in enumerate(picked)]
+    _, p = _reduce(inverse, d)
+    return picked, [_primitive([row[d + j] * p for row in inverse]) for j in range(d)]
 
 
 def _extreme_rays(rows: list[Vector]) -> list[tuple[int, ...]]:
@@ -108,11 +98,12 @@ def _extreme_rays(rows: list[Vector]) -> list[tuple[int, ...]]:
 
     Each ray carries its zero set over the inserted rows (bit i for row i).
     """
+    rows = [_primitive(row) for row in rows]
     d = len(rows[0])
     picked, cols = _initial_rays(rows, d)
     start = sum(1 << i for i in picked)
-    rays = [(_primitive(c), start & ~(1 << i)) for i, c in zip(picked, cols)]
-    for idx, a in enumerate(map(_primitive, rows)):
+    rays = [(c, start & ~(1 << i)) for i, c in zip(picked, cols)]
+    for idx, a in enumerate(rows):
         if start >> idx & 1:
             continue
         bit = 1 << idx

@@ -6,9 +6,9 @@ facet functionals verbatim: an irredundant description {x : <g, x> <= 1} makes
 every g attain maximum exactly 1 on the ball, so these are precisely the
 extreme points of the dual unit ball, already scaled to dual norm one.
 
-Builders cover the sup-norm cube, the 1-norm cross-polytope, and custom balls
-from either representation.  Support sets J(x) and smooth-point tests follow
-directly from maximizing the finitely many extreme functionals.
+Builders cover the sup-norm cube and the 1-norm cross-polytope, once per n,
+and custom balls from either representation.  Every verdict reads the extreme
+functionals at a point in one integer pass over rows each space clears once.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import SpaceTooLarge, ZeroVector
-from .linalg import Vector, canonical_sorted, dot, is_zero, unit, vec
+from .linalg import Vector, _cleared, canonical_sorted, is_zero, unit, vec
 from .polytope import HRep, VRep, symmetric_ball
 
 _EAGER_LIMIT = 12  # builders refuse above this: 2^n extreme objects
@@ -47,6 +48,16 @@ class PolyhedralSpace:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def _functional_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        mult, rows = _cleared(self.dual_extreme)
+        return mult, tuple(map(tuple, rows))
+
+    @cached_property
+    def _vertex_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        mult, rows = _cleared(self.vertices)
+        return mult, tuple(map(tuple, rows))
+
     @property
     def vrep(self) -> VRep:
         return VRep(vertices=self.vertices, dim=self.dim)
@@ -68,6 +79,7 @@ class SupportSet:
     functionals: tuple[Vector, ...]
 
 
+@lru_cache(maxsize=None, typed=True)
 def make_linf(n: int) -> PolyhedralSpace:
     """Sup-norm space: ball is the cube {-1, 1}^n, dual extremes +-e_i."""
     _check_builder_dim(n)
@@ -82,6 +94,7 @@ def make_linf(n: int) -> PolyhedralSpace:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def make_l1(n: int) -> PolyhedralSpace:
     """1-norm space: ball is the cross-polytope, dual extremes all sign vectors."""
     _check_builder_dim(n)
@@ -111,10 +124,17 @@ def make_custom(vertices=None, facets=None) -> PolyhedralSpace:
     return PolyhedralSpace(kind="custom", dim=v.dim, vertices=v.vertices, dual_extreme=h.facets)
 
 
+def _values(space: PolyhedralSpace, x: Vector) -> tuple[int, list[int]]:
+    """(m, values): values[i] is m * <g_i, x> for each extreme functional g_i, with m > 0."""
+    gm, functionals = space._functional_ints
+    pm, (point,) = _cleared([x])
+    return gm * pm, [sum(map(mul, g, point)) for g in functionals]
+
+
 def norm(space: PolyhedralSpace, x) -> Fraction:
     """Norm of x: the maximum of the extreme dual functionals on x."""
-    point = _checked(space.dim, x)
-    return max(dot(g, point) for g in space.dual_extreme)
+    m, values = _values(space, _checked(space.dim, x))
+    return Fraction(max(values), m)
 
 
 def support_set(space: PolyhedralSpace, x) -> SupportSet:
@@ -122,7 +142,7 @@ def support_set(space: PolyhedralSpace, x) -> SupportSet:
     point = _checked(space.dim, x)
     if is_zero(point):
         raise ZeroVector("support set requires a nonzero vector")
-    values = [dot(g, point) for g in space.dual_extreme]
+    _, values = _values(space, point)
     top = max(values)
     indices = tuple(i for i, val in enumerate(values) if val == top)
     return SupportSet(indices=indices, functionals=tuple(space.dual_extreme[i] for i in indices))

@@ -183,7 +183,7 @@ def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
     _check_ambient(space, y)
     # restrict(y, g) for every g, on cleared integers: Fractions are made
     # once per distinct restricted row
-    gm, functionals = _cleared(space.dual_extreme)
+    gm, functionals = space._functional_ints
     bm, basis = _cleared(y.basis)
     by_key: dict[tuple[int, ...], list[int]] = {}
     for i, g in enumerate(functionals):

@@ -11,7 +11,7 @@ from math import comb
 
 import coapprox as ca
 from coapprox.l1 import cell_bound
-from coapprox.linalg import dot
+from coapprox.linalg import add, dot, scale, zeros
 
 import conftest
 from conftest import (
@@ -21,6 +21,7 @@ from conftest import (
     independent_basis,
     nonzero_point,
     prism_vertices,
+    rational,
     rational_point,
     seeded,
 )
@@ -171,6 +172,17 @@ def test_l1_never_strong_suite():
         assert ca.minimal_norming_set(rows).size <= cell_bound(n, m) < 2**n
         checked += 1
 
+    rng = seeded(261)
+    checked = 0
+    while checked < 12:
+        m = rng.randint(2, 4)
+        rows = independent_basis(rng, 7, m)
+        if ca.zero_set(rows):
+            continue
+        assert ca.is_strongly_anti_coproximinal(ca.make_l1(7), ca.subspace(rows)).status == "no"
+        assert ca.minimal_norming_set(rows).size <= cell_bound(7, m) < 2**7
+        checked += 1
+
 
 @criterion(8, "independent routes agree: orthogonality, classifier, solver", 300.0)
 def test_oracle_equivalences(prism):
@@ -206,6 +218,31 @@ def test_oracle_equivalences(prism):
         if fast.exists:
             assert fast.y0 == generic.y0
         done += 1
+
+    rng = seeded(263)
+    for _ in range(12):
+        rows = independent_basis(rng, 7, rng.randint(2, 5))
+        generic = ca.is_strongly_anti_coproximinal(ca.make_linf(7), ca.subspace(rows))
+        assert (generic.status == "yes") == ca.linf_classify(rows).strongly_anti
+    # half of the points are y + z with z annihilated by the norming set,
+    # so that y is a best coapproximation; random points almost never have one
+    done = found = 0
+    while done < 12:
+        rows = independent_basis(rng, 7, rng.randint(2, 6))
+        if ca.zero_set(rows):
+            continue
+        b = rational_point(rng, 7)
+        if done % 2 == 0:
+            b = ca.embed(ca.subspace(rows), b[:len(rows)])
+            reps = ca.minimal_norming_set(rows).representatives
+            for v in ca.solve_linear(reps, zeros(len(reps))).nullspace:
+                b = add(b, scale(v, rational(rng)))
+        fast = ca.l1_best_coapprox(rows, b)
+        generic = ca.solve_best_coapprox(ca.make_l1(7), ca.subspace(rows), b)
+        assert (fast.exists, fast.y0) == (generic.exists, generic.y0)
+        found += fast.exists
+        done += 1
+    assert found >= 3
 
 
 @criterion(9, "relaxation machinery: zero case, defect membership, monotonicity, hard walls", 120.0)

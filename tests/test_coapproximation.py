@@ -12,6 +12,7 @@ import pytest
 
 import coapprox as ca
 import coapprox.coapproximation
+import coapprox.spaces
 import coapprox.subspaces
 from coapprox.coapproximation import _facet_classes
 from coapprox.linalg import LpProblem, add, dot, lp_solve, neg, scale, sub, unit, vec, zeros
@@ -535,6 +536,43 @@ class TestFacetsDecide:
         assert len(seen) == 6, seen
 
 
+class TestFunctionalsOnIntegers:
+    """Every verdict reads the space's functionals from one integer pass."""
+
+    def test_no_verdict_makes_a_fraction_dot(self, monkeypatch, prism, prism_flat, prism_tilted):
+        cases = [
+            (prism, prism_flat, (1, 2, 3)),
+            (prism, prism_tilted, (1, 2, 3)),
+            (ca.make_l1(3), ca.subspace(L1_BASIS), (1, 0, 0)),
+        ]
+
+        def verdicts(space, y, x):
+            z = (1, -1, 2)
+            solved = ca.solve_best_coapprox(space, y, x)
+            return (
+                ca.norm(space, x), ca.support_set(space, x), ca.is_smooth(space, x),
+                ca.bj_orthogonal(space, x, z), ca.eps_bj_orthogonal(space, x, z, F(1, 2)),
+                solved, ca.is_best_coapprox(space, y, x, solved.y0 or (0, 0, 0)),
+                ca.eps_coapprox_defect(space, y, x, (0, 0, 0)),
+                ca.sufficient_condition_strong(space, y, x),
+                ca.necessary_condition_check(space, y, x),
+                ca.is_strongly_anti_coproximinal(space, y),
+            )
+
+        expected = [verdicts(*case) for case in cases]
+        assert [v[5].exists for v in expected] == [True, False, False]
+        assert [v[-1].status for v in expected[1:]] == ["no", "no"]
+
+        def refuse(*args):
+            raise AssertionError("the space evaluates its functionals on integers")
+
+        # solve_best_coapprox reads its facet rows from the induced ball
+        monkeypatch.setattr(coapprox.coapproximation, "restrict", refuse, raising=False)
+        for module in (coapprox.spaces, coapprox.coapproximation):
+            monkeypatch.setattr(module, "dot", refuse, raising=False)
+        assert [verdicts(*case) for case in cases] == expected
+
+
 class TestSolverMatchesThePairSearch:
     """The interval system decides as the former search over witness pairs did."""
 
@@ -620,7 +658,7 @@ def _pair_search(space, y, x):
     infeasible.  Returns (exists, failed_face), the latter the facet row of B_Y
     at which the deepest partial system died.
     """
-    classes = _facet_classes(space, y)
+    classes = _functional_classes(space, y)
     px = vec(x)
     deepest = 0
 
@@ -641,6 +679,23 @@ def _pair_search(space, y, x):
     if descend([], 0):
         return True, None
     return False, classes[deepest][0]
+
+
+def _functional_classes(space, y):
+    """One facet of B_Y per +- pair, as (row index, functionals of its dual face).
+
+    Opposite facets carry negated dual faces and yield the same conditions.
+    The library's ``_facet_classes`` before it returned dual indices, kept
+    verbatim for the reference search.
+    """
+    ball = ca.induced_ball(space, y)
+    classes = []
+    seen = set()
+    for idx, (row, dual) in enumerate(zip(ball.facet_rows, ball.facet_dual)):
+        if neg(row) not in seen:
+            seen.add(row)
+            classes.append((idx, tuple(space.dual_extreme[i] for i in dual)))
+    return classes
 
 
 def _satisfies(system, alpha):

@@ -4,7 +4,9 @@ Every decision is exact and deterministic, so a ``random`` import, a float
 literal or a ``float(...)`` call anywhere under the package is a defect.  So
 is an ``assert`` statement: ``python -O`` strips it, and a check that can
 vanish lets a failed invariant answer silently, so checks raise
-``Discrepancy`` instead.
+``Discrepancy`` instead.  A space clears its own representations to integers,
+once: no module but ``spaces.py`` calls ``_cleared`` on a ``.dual_extreme``
+or ``.vertices`` attribute.
 """
 
 import ast
@@ -40,3 +42,34 @@ def test_the_lint_sees_each_kind_of_violation(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import random\nfrom random import randint\nx = 0.5\ny = float(1)\nassert x\n")
     assert len(list(_violations(bad))) == 5
+
+
+def _clearings(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "_cleared" and any(
+            isinstance(arg, ast.Attribute) and arg.attr in ("dual_extreme", "vertices")
+            for arg in node.args
+        ):
+            yield f"{path.name}:{node.lineno}: clears {ast.unparse(node.args[0])}"
+
+
+def test_only_the_space_clears_its_representations():
+    modules = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "spaces.py")
+    assert len(modules) >= 8
+    assert [v for path in modules for v in _clearings(path)] == []
+
+
+def test_the_clearing_lint_sees_each_call(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "a = _cleared(space.dual_extreme)\n"
+        "b = linalg._cleared(ball.vertices)\n"
+        "c = _cleared(points)\n"
+        "d = _cleared([space.vertices[0]])\n"
+    )
+    assert [v.split(": ", 1)[1] for v in _clearings(bad)] == [
+        "clears space.dual_extreme", "clears ball.vertices",
+    ]

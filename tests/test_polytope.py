@@ -75,12 +75,17 @@ def test_facet_entries_are_fractions():
 
 
 def test_ray_loop_needs_no_fraction_dot(monkeypatch):
-    def refuse(u, v):
+    def refuse(*args):
         raise AssertionError("the double description works on integer rays")
 
     # the module no longer imports dot at all; the patch guards a return of it
     monkeypatch.setattr(polytope, "dot", refuse, raising=False)
-    assert len(polytope.conv_facets(OCTAHEDRON)) == 8
+    with monkeypatch.context() as patch:
+        # the start cone comes from two integer eliminations too
+        patch.setattr(polytope, "rank", refuse)
+        patch.setattr(polytope, "solve_linear", refuse, raising=False)
+        assert len(polytope.conv_facets(OCTAHEDRON)) == 8
+        assert len(polytope.conv_facets(prism_vertices())) == 8
     keep, facets, tight = polytope.extreme_subset(tuple(vec(p) for p in OCTAHEDRON))
     assert len(keep) == 6 and len(facets) == 8 and all(len(t) == 4 for t in tight)
     v, h = polytope.symmetric_ball(OCTAHEDRON, kind="vertex")
@@ -199,6 +204,34 @@ def _oracle_initial_rays(rows, d):
             raise ca.Discrepancy("independent rows give a unique inverse column")
         cols.append(sol.particular)
     return picked, cols
+
+
+def test_initial_rays_match_the_oracle():
+    rng = seeded(265)
+    outcomes = set()
+    for _ in range(300):
+        d = rng.randint(2, 5)
+        # a few rows, drawn from a subspace of dimension r <= d
+        r = rng.choice([d, d, d - 1])
+        gens = [rational_point(rng, d, -3, 3, 3) for _ in range(r)]
+        rows = []
+        for _ in range(rng.randint(r, d + 4)):
+            coefs = [rng.randint(-2, 2) for _ in gens]
+            rows.append(tuple(sum((c * g[k] for c, g in zip(coefs, gens)), ZERO) for k in range(d)))
+        try:
+            expected = _oracle_initial_rays(rows, d)
+        except ca.DegenerateInput:
+            for given in (rows, [polytope._primitive(row) for row in rows]):
+                with pytest.raises(ca.DegenerateInput):
+                    polytope._initial_rays(given, d)
+            outcomes.add("degenerate")
+            continue
+        picked, cols = expected
+        expected = (picked, [_oracle_primitive(list(col)) for col in cols])
+        for given in (rows, [polytope._primitive(row) for row in rows]):
+            assert polytope._initial_rays(given, d) == expected
+        outcomes.add("simplicial")
+    assert outcomes == {"simplicial", "degenerate"}
 
 
 def _oracle_extreme_rays(rows):

@@ -1,5 +1,6 @@
 """Polyhedral norm spaces: builders, norms, support sets, smoothness."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -53,7 +54,8 @@ class TestBuilders:
 
     def test_equal_spaces_share_a_hash_and_one_cache_entry(self):
         pairs = [
-            (ca.make_l1(5), ca.make_l1(5)),
+            # the builders return one space per n, so the second is a copy
+            (ca.make_l1(5), dataclasses.replace(ca.make_l1(5))),
             (ca.make_custom(facets=[(1, 2), (2, -1), (-1, -2), (-2, 1)]),
              ca.make_custom(facets=[(-2, 1), (-1, -2), ("2", "-1"), (F(1), F(2))])),
             # one ball given by its 12 vertices and by its 8 facets
@@ -70,6 +72,15 @@ class TestBuilders:
             after = ca.induced_ball.cache_info()
             assert (after.misses, after.hits) == (info.misses + 1, info.hits + 1)
         assert ca.make_linf(3) != ca.make_l1(3)
+
+    def test_builders_build_each_space_once_per_n(self):
+        assert ca.make_l1(5) is ca.make_l1(5)
+        assert ca.make_linf(3) is ca.make_linf(3) and ca.make_linf(3) != ca.make_linf(4)
+        # the cache is typed: a float n is refused, not served the n = 3 entry
+        with pytest.raises(TypeError):
+            ca.make_linf(3.0)
+        with pytest.raises(TypeError):
+            ca.make_l1(3.0)
 
     def test_dual_rows_have_dual_norm_one(self):
         # every stored functional attains value exactly 1 on the ball
