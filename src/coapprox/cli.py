@@ -10,7 +10,7 @@ engine and runs the --verify cross-check; the --verify cross-checks of bj,
 best-coapprox and jy are made here.
 
 Exit codes: 0 success, 1 malformed input or domain error, 2 the
-anti-coproximinality search of classify exceeded its cap of LP calls, 3 a
+anti-coproximinality search of classify exceeded its cap of tried branches, 3 a
 cross-check under --verify or a certificate recheck failed.
 
 The request may also arrive on stdin as one JSON document with keys space,

@@ -47,6 +47,7 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
+    _Growing,
     centroid,
     dot,
     fr,
@@ -74,7 +75,7 @@ from .subspaces import (
 )
 
 
-_ANTI_LP_CAP = 10**4  # LP calls of the anti-coproximinality search before BudgetExceeded
+_ANTI_LP_CAP = 10**4  # branches the anti-coproximinality search tries before BudgetExceeded
 
 
 def epsilon_value(eps) -> Fraction:
@@ -185,21 +186,6 @@ class CoapproxResult:
     failed_face: int | None = None
 
 
-def _facet_classes(space: PolyhedralSpace, y: Subspace) -> list[tuple[int, tuple[int, ...]]]:
-    """One facet of B_Y per +- pair, as (row index, its dual face as dual indices).
-
-    Opposite facets carry negated dual faces and yield the same conditions.
-    """
-    ball = induced_ball(space, y)
-    classes = []
-    seen: set[Vector] = set()
-    for idx, (row, dual) in enumerate(zip(ball.facet_rows, ball.facet_dual)):
-        if neg(row) not in seen:
-            seen.add(row)
-            classes.append((idx, dual))
-    return classes
-
-
 def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResult:
     """Find all best coapproximations to x out of Y as one polyhedron.
 
@@ -207,22 +193,32 @@ def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResul
     row r_G, so <g, x - y0> = <g, x> - <r_G, alpha>, and the facet's
     condition is min <g, x> <= <r_G, alpha> <= max <g, x> over D(G).  Facet
     conditions imply all subface conditions because dual faces only grow
-    toward smaller faces.  The intervals are added one facet class at a
-    time, with one LP each; the class whose interval first makes the system
-    infeasible is the failed facet.
+    toward smaller faces.  The intervals join one growing integer system one
+    facet class at a time, each row re-optimized from the previous basis;
+    the class whose interval first makes the system infeasible is the failed
+    facet.  A feasible system is solved once, by ``lp_solve``, for its
+    witness.
     """
     m, values = _values(space, _checked(space.dim, x))
-    rows = induced_ball(space, y).facet_rows
+    ball = induced_ball(space, y)
+    grown = _Growing(y.dim)
     system: list[Constraint] = []
-    point = None
-    for idx, dual in _facet_classes(space, y):
+    for idx, dual in ball._facet_classes:
         low, high = min(values[i] for i in dual), max(values[i] for i in dual)
-        system += [(rows[idx], ">=", Fraction(low, m)), (rows[idx], "<=", Fraction(high, m))]
-        res = lp_solve(LpProblem(objective=zeros(y.dim), constraints=tuple(system)), "max")
-        if res.status != "optimal":
+        row = ball.facet_rows[idx]
+        system += [(row, ">=", Fraction(low, m)), (row, "<=", Fraction(high, m))]
+        if not (grown.add(*system[-2]) and grown.add(*system[-1])):
             return CoapproxResult(exists=False, failed_face=idx)
-        point = res.point
+    point = _feasible_point(system, y.dim)
     return CoapproxResult(exists=True, y0=embed(y, point), alpha=point, region=tuple(system))
+
+
+def _feasible_point(system: list[Constraint], nvars: int) -> Vector:
+    """The point ``lp_solve`` gives a system the growing tableau found feasible."""
+    res = lp_solve(LpProblem(objective=zeros(nvars), constraints=tuple(system)), "max")
+    if res.status != "optimal":
+        raise Discrepancy("lp_solve refuses a system the growing tableau found feasible")
+    return res.point
 
 
 @dataclass(frozen=True)
@@ -248,27 +244,35 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
     form a symmetric union of cones, one per choice of a pair (g-, g+) from
     each facet class's dual face with <g-, z> <= 0 <= <g+, z>, so each search
     asks for <w, z> >= 1 with one w of an annihilator basis of Y and chooses
-    the pairs depth first, pruning infeasible prefixes.  The LP calls are
-    capped at _ANTI_LP_CAP.
+    the pairs depth first.  Each tried pair grows a copy of its parent's
+    integer system by two rows and is pruned when they make it infeasible;
+    a full path is solved once, by ``lp_solve``, for its z.  The tried pairs
+    are capped at _ANTI_LP_CAP.
     """
-    classes = [[space.dual_extreme[i] for i in dual] for _, dual in _facet_classes(space, y)]
+    classes = [
+        [space.dual_extreme[i] for i in dual] for _, dual in induced_ball(space, y)._facet_classes
+    ]
     calls = itertools.count(1)
 
-    def descend(system: list[Constraint], level: int) -> Vector | None:
+    def descend(parent: _Growing, system: list[Constraint], level: int) -> Vector | None:
         for g_minus, g_plus in itertools.product(classes[level], repeat=2):
             if next(calls) > _ANTI_LP_CAP:
                 raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
             rows = system + [(g_minus, "<=", ZERO), (g_plus, ">=", ZERO)]
-            res = lp_solve(LpProblem(objective=zeros(space.dim), constraints=tuple(rows)), "max")
-            if res.status != "optimal":
+            grown = parent.copy()
+            if not (grown.add(*rows[-2]) and grown.add(*rows[-1])):
                 continue
-            z = res.point if level + 1 == len(classes) else descend(rows, level + 1)
+            if level + 1 == len(classes):
+                return _feasible_point(rows, space.dim)
+            z = descend(grown, rows, level + 1)
             if z is not None:
                 return z
         return None
 
     for w in solve_linear(y.basis, zeros(y.dim)).nullspace:
-        z = descend([(w, ">=", ONE)], 0)
+        root = _Growing(space.dim)
+        root.add(w, ">=", ONE)
+        z = descend(root, [(w, ">=", ONE)], 0)
         if z is not None:
             return z
     return None

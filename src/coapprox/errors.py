@@ -55,11 +55,11 @@ class Discrepancy(RuntimeError):
 
 
 class BudgetExceeded(RuntimeError):
-    """The anti-coproximinality search needs more LP calls than its cap."""
+    """The anti-coproximinality search needs to try more branches than its cap."""
 
     def __init__(self, budget: int, required: int):
         self.budget = budget
         self.required = required
         super().__init__(
-            f"search requires at least {required} LP calls, budget is {budget}"
+            f"search requires at least {required} tried branches, budget is {budget}"
         )

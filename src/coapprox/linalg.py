@@ -5,7 +5,8 @@ tuples.  Everything in this module is pure and tolerance-free: one
 fraction-free (Bareiss) pivot step on rows cleared to integers drives both the
 Gauss-Jordan elimination behind ranks and linear systems and the two-phase
 simplex, with Bland's anti-cycling rule, behind linear programs, so
-termination and exactness are guaranteed.  No floating point enters any code
+termination and exactness are guaranteed.  A feasibility system grown one row
+at a time keeps its tableau between rows.  No floating point enters any code
 path.
 """
 
@@ -68,7 +69,13 @@ def unit(n: int, i: int) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), start=ZERO)
+    """<u, v> summed on integer numerators over one denominator, normalized once."""
+    num, den = 0, 1
+    for a, b in zip(u, v, strict=True):
+        q = a.denominator * b.denominator
+        num = num * q + a.numerator * b.numerator * den
+        den *= q
+    return Fraction(num, den)
 
 
 def add(u: Vector, v: Vector) -> Vector:
@@ -251,9 +258,17 @@ class LpResult:
 
 
 def _cost_row(rows: list, basis: list[int], cost: list[int], d: int) -> list[int]:
-    """d times the reduced costs of ``cost`` (0 at the right-hand side) at the basis."""
-    weighted = [(cost[bc], row) for bc, row in zip(basis, rows) if cost[bc] != 0]
-    return [d * c - sum(w * row[j] for w, row in weighted) for j, c in enumerate(cost)]
+    """d times ``cost`` with its basic entries eliminated by their rows.
+
+    For a cost row (0 at the right-hand side) these are the reduced costs; for
+    a new constraint row, its entries in the current basis.
+    """
+    out = [d * c for c in cost]
+    for bc, row in zip(basis, rows):
+        w = cost[bc]
+        if w:
+            out = [o - w * a for o, a in zip(out, row)]
+    return out
 
 
 def _run_simplex(tableau: list, basis: list[int], d: int) -> tuple[str, int]:
@@ -380,6 +395,73 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
     point = tuple(values[j] - values[nvars + j] for j in range(nvars))
     value = dot(problem.objective, point)
     return LpResult(status="optimal", value=value, point=point)
+
+
+class _Growing:
+    """A feasible system of inequalities on free variables, grown one row at a time.
+
+    It keeps one feasible integer tableau in the layout of ``lp_solve``:
+    columns [x+ | x- | one slack per row | rhs], every row holding d times
+    its entries, d > 0.  A new row is reduced against the current basis with
+    its slack basic; only when that slack comes out negative does phase one
+    run, on one artificial in that row and from the current basis, so a
+    grown system costs a few pivots instead of a fresh two-phase solve.  A
+    row that would make the system infeasible is refused and leaves it as
+    it was.
+    """
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        self.d = 1
+
+    def copy(self) -> _Growing:
+        # no row list is changed in place, so the copies may share them
+        twin = _Growing(self.nvars)
+        twin.rows, twin.basis, twin.d = list(self.rows), list(self.basis), self.d
+        return twin
+
+    def add(self, coeffs: Vector, rel: Relation, rhs: Fraction) -> bool:
+        """Add <coeffs, x> rel rhs, rel "<=" or ">=", if the system stays feasible."""
+        if rel not in ("<=", ">="):
+            raise ValueError(f"unknown relation {rel!r}")
+        mult = lcm(*(x.denominator for x in (*coeffs, rhs))) * (1 if rel == "<=" else -1)
+        ints = [c.numerator * (mult // c.denominator) for c in coeffs]
+        d, slack = self.d, 2 * self.nvars + len(self.rows)
+        # every old row is 0 in the new slack column, so the row is reduced
+        # without it and takes d there
+        row = [*ints, *(-c for c in ints), *[0] * len(self.rows)]
+        row = _cost_row(self.rows, self.basis, [*row, rhs.numerator * (mult // rhs.denominator)], d)
+        if row[-1] >= 0:
+            self.rows = [r[:-1] + [0, r[-1]] for r in self.rows] + [row[:-1] + [d, row[-1]]]
+            self.basis.append(slack)
+            return True
+        # flipped, the row takes one artificial, the column after its slack, basic at d
+        art = slack + 1
+        rows = [r[:-1] + [0, 0, r[-1]] for r in self.rows]
+        rows.append([-x for x in row[:-1]] + [-d, d, -row[-1]])
+        basis = self.basis + [art]
+        cost = [0] * (art + 2)
+        cost[art] = 1
+        rows.append(_cost_row(rows, basis, cost, d))
+        status, d = _run_simplex(rows, basis, d)
+        if status != "optimal":
+            raise Discrepancy("phase one cannot be unbounded")
+        if rows.pop()[-1] < 0:
+            return False
+        if art in basis:
+            # basic at 0; [A | I] has full row rank, so the row has a nonzero
+            # entry outside the artificial column
+            i = basis.index(art)
+            col = next(j for j in range(art) if rows[i][j] != 0)
+            if rows[i][col] < 0:  # its right-hand side is 0: flip it to keep d > 0
+                rows[i] = [-x for x in rows[i]]
+            d = _eliminate(rows, i, col, d)
+            basis[i] = col
+        self.rows = [r[:art] + r[-1:] for r in rows]
+        self.basis, self.d = basis, d
+        return True
 
 
 @dataclass(frozen=True)

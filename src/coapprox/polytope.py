@@ -28,7 +28,6 @@ from operator import mul
 
 from .errors import DegenerateInput, Discrepancy, UnboundedInput
 from .linalg import (
-    ONE,
     Vector,
     _cleared,
     _reduce,
@@ -37,7 +36,6 @@ from .linalg import (
     neg,
     rank,
     vec,
-    zeros,
 )
 
 
@@ -69,11 +67,10 @@ class FaceDescriptor:
     dim: int
 
 
-def _primitive(ray) -> tuple[int, ...]:
-    """Scale a rational ray by a positive rational to primitive integer coordinates."""
-    _, (ints,) = _cleared([ray])
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g else tuple(ints)
+def _lowest_terms(ray) -> tuple[int, ...]:
+    """An integer ray divided by the gcd of its entries: primitive, same direction."""
+    g = gcd(*ray)
+    return tuple(x // g for x in ray) if g else tuple(ray)
 
 
 def _initial_rays(rows: list, d: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -90,15 +87,15 @@ def _initial_rays(rows: list, d: int) -> tuple[list[int], list[tuple[int, ...]]]
         raise DegenerateInput("input rows do not span the space")
     inverse = [[*rows[i], *(int(j == k) for j in range(d))] for k, i in enumerate(picked)]
     _, p = _reduce(inverse, d)
-    return picked, [_primitive([row[d + j] * p for row in inverse]) for j in range(d)]
+    return picked, [_lowest_terms([row[d + j] * p for row in inverse]) for j in range(d)]
 
 
-def _extreme_rays(rows: list[Vector]) -> list[tuple[int, ...]]:
-    """Extreme rays of the pointed cone {y : <row, y> >= 0 for all rows}.
+def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """Extreme rays of the pointed cone {y : <row, y> >= 0 for all integer rows}.
 
     Each ray carries its zero set over the inserted rows (bit i for row i).
     """
-    rows = [_primitive(row) for row in rows]
+    rows = [_lowest_terms(row) for row in rows]
     d = len(rows[0])
     picked, cols = _initial_rays(rows, d)
     start = sum(1 << i for i in picked)
@@ -125,7 +122,7 @@ def _extreme_rays(rows: list[Vector]) -> list[tuple[int, ...]]:
                 ):
                     continue
                 new = [vp * qc - vq * pc for pc, qc in zip(p, q)]
-                combined[_primitive(new)] = meet | bit
+                combined[_lowest_terms(new)] = meet | bit
         rays = [(p, pmask) for p, pmask, _ in plus] + zero + list(combined.items())
     return [ray for ray, _ in rays]
 
@@ -140,8 +137,10 @@ def conv_facets(points) -> tuple[Vector, ...]:
     if not pts:
         raise DegenerateInput("empty point set")
     d = len(pts[0])
-    rows = [neg(p) + (ONE,) for p in pts]
-    rows.append(zeros(d) + (ONE,))
+    # the rows (-p, 1) and (0, 1), times one common multiplier
+    mult, ints = _cleared(pts)
+    rows = [[-x for x in p] + [mult] for p in ints]
+    rows.append([0] * d + [1])
     facets = []
     for ray in _extreme_rays(rows):
         if ray[d] == 0:

@@ -36,6 +36,7 @@ from .linalg import (
     dot,
     is_zero,
     mat,
+    neg,
     rank,
     scale,
     solve_linear,
@@ -160,6 +161,20 @@ class InducedBall:
     facet_dual: tuple[tuple[int, ...], ...]
     vertex_dual: tuple[tuple[int, ...], ...]
     jy: JYSet
+
+    @cached_property
+    def _facet_classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """One facet per +- pair, as (row index, its dual face as dual indices).
+
+        Opposite facets carry negated dual faces and yield the same conditions.
+        """
+        classes = []
+        seen: set[Vector] = set()
+        for idx, (row, dual) in enumerate(zip(self.facet_rows, self.facet_dual)):
+            if neg(row) not in seen:
+                seen.add(row)
+                classes.append((idx, dual))
+        return tuple(classes)
 
     @cached_property
     def faces(self) -> tuple[FaceData, ...]:

@@ -1,5 +1,6 @@
 """Best coapproximation: membership test, solver, defect, classification."""
 
+import importlib.util
 import itertools
 import operator
 import os
@@ -14,7 +15,6 @@ import coapprox as ca
 import coapprox.coapproximation
 import coapprox.spaces
 import coapprox.subspaces
-from coapprox.coapproximation import _facet_classes
 from coapprox.linalg import LpProblem, add, dot, lp_solve, neg, scale, sub, unit, vec, zeros
 
 from conftest import (
@@ -116,7 +116,9 @@ class TestSolveBestCoapprox:
             assert not ca.solve_best_coapprox(linf3, wide, x).exists
             checked += 1
 
-    def test_at_most_one_lp_per_facet_class(self, monkeypatch, linf3, narrow):
+    def test_one_lp_per_solved_point_and_none_otherwise(self, monkeypatch, linf3, narrow):
+        # the growing system decides feasibility; lp_solve runs once, for the
+        # witness of a system that has one
         calls = []
 
         def counting(problem, sense):
@@ -124,15 +126,20 @@ class TestSolveBestCoapprox:
             return lp_solve(problem, sense)
 
         monkeypatch.setattr(coapprox.coapproximation, "lp_solve", counting)
-        classes = _facet_classes(linf3, narrow)
-        assert len(classes) == 2
-        ca.solve_best_coapprox(linf3, narrow, (1, -1, 0))
-        assert len(calls) == 2
+        assert len(ca.induced_ball(linf3, narrow)._facet_classes) == 2
         rng = seeded(241)
-        for _ in range(10):
+        cases = [(linf3, narrow, (1, -1, 0)), (ca.make_l1(3), ca.subspace(L1_BASIS), (1, 0, 0))]
+        cases += [(linf3, narrow, rational_point(rng, 3)) for _ in range(20)]
+        outcomes = set()
+        for space, y, x in cases:
             calls.clear()
-            ca.solve_best_coapprox(linf3, narrow, rational_point(rng, 3))
-            assert 1 <= len(calls) <= len(classes)
+            res = ca.solve_best_coapprox(space, y, x)
+            assert len(calls) == (1 if res.exists else 0)
+            if res.exists:
+                (problem,) = calls
+                assert problem.constraints == res.region
+            outcomes.add(res.exists)
+        assert outcomes == {True, False}
 
     def test_point_inside_subspace_is_its_own_answer(self, prism, prism_flat):
         res = ca.solve_best_coapprox(prism, prism_flat, (2, -1, 0))
@@ -589,7 +596,8 @@ class TestSolverMatchesThePairSearch:
                 cases.append((space, ca.subspace(basis)))
         outcomes, widest = set(), 0
         for space, y in cases:
-            widest = max([widest] + [len(dual) for _, dual in _facet_classes(space, y)])
+            classes = ca.induced_ball(space, y)._facet_classes
+            widest = max([widest] + [len(dual) for _, dual in classes])
             for _ in range(4):
                 x = nonzero_point(rng, space.dim, -3, 3, 2)
                 res = ca.solve_best_coapprox(space, y, x)
@@ -629,6 +637,128 @@ class TestSolverMatchesThePairSearch:
         # the sum-norm route returns its equality system in the same shape
         fast = ca.l1_best_coapprox(L1_BASIS, (0, 1, 1))
         assert fast.exists and _satisfies(fast.region, fast.alpha)
+
+
+class TestGrowingSystemKeepsTheAnswers:
+    """The solver and the anti search grow one integer system per question.
+
+    They must answer exactly as the former code did, which solved a fresh LP
+    for every prefix: every result field and every witness is compared with
+    the verbatim copies below.
+    """
+
+    def test_solver_matches_the_prefix_lps(self, prism, prism_flat, prism_tilted, prism_steep):
+        rng = seeded(271)
+        cases = [(prism, y) for y in (prism_flat, prism_tilted, prism_steep)]
+        for n in (3, 4, 5):
+            for space in (ca.make_linf(n), ca.make_l1(n)):
+                for _ in range(3):
+                    m = rng.randint(1, n - 1)
+                    cases.append((space, ca.subspace(independent_basis(rng, n, m, -2, 2))))
+        for space, bases in _fat_balls():
+            for basis in bases:
+                cases.append((space, ca.subspace(basis)))
+        questions = [(space, y, nonzero_point(rng, space.dim, -3, 3, 2)) for space, y in cases * 4]
+        gen = _perfbench_gen()
+        spaces = {"prism": lambda n: ca.make_custom(vertices=gen.PRISM_VERTICES),
+                  "linf": ca.make_linf, "l1": ca.make_l1}
+        pairs = [(spaces[kind](n), ca.subspace(rows)) for _, kind, n, rows in gen.PAIRS]
+        asked = (q for q in gen.point_questions(1) if q.kind == "solve")
+        questions += [(*pairs[q.pair], q.x) for q in itertools.islice(asked, 180)]
+        outcomes = set()
+        for space, y, x in questions:
+            res = ca.solve_best_coapprox(space, y, x)
+            assert res == _prefix_solve_best_coapprox(space, y, x), (space.kind, y.basis, x)
+            outcomes.add(res.exists)
+        assert outcomes == {True, False}
+
+    @pytest.mark.filterwarnings("ignore:dropped .* non-extreme")
+    def test_anti_search_finds_the_same_witness(self, prism, prism_flat, linf3, narrow):
+        rng = seeded(277)
+        # the rank-2 fixture, where the search ends in exhaustion
+        verts = ((1, 1, 0), (1, -1, -1), (1, 0, 1), (0, 1, 1), (1, -1, 1))
+        rank_two = ca.make_custom(vertices=verts + tuple(neg(v) for v in verts))
+        cases = [(rank_two, ca.subspace([(0, 1, 1), (1, 0, 1)]))]
+        cases += [(prism, prism_flat), (linf3, narrow)]
+        for n in (3, 4, 5):
+            for space in (ca.make_linf(n), ca.make_l1(n)):
+                for _ in range(8):
+                    basis = independent_basis(rng, n, rng.randint(1, n - 1), -2, 2)
+                    cases.append((space, ca.subspace(basis)))
+        for n in (3, 4):
+            for _ in range(8):
+                basis = independent_basis(rng, n, 2, -2, 2)
+                cases.append((_random_custom_ball(rng, n), ca.subspace(basis)))
+        for space, bases in _fat_balls():
+            cases += [(space, ca.subspace(basis)) for basis in bases]
+        reached = []
+        for space, y in cases:
+            z = coapprox.coapproximation._coapproximable_direction(space, y)
+            assert z == _prefix_coapproximable_direction(space, y), (space.kind, y.basis)
+            jy = ca.induced_ball(space, y).jy
+            if ca.rank(jy.functionals) < space.dim and not ca.smooth_dense_in(space, y):
+                reached.append(z is not None)
+        assert reached[0] is False and reached.count(True) >= 10
+
+
+def _perfbench_gen():
+    """The benchmark's seeded inputs, ``perfbench/gen.py``, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _prefix_facet_classes(space, y):
+    """The library's ``_facet_classes`` before it became a cached property of the ball."""
+    ball = ca.induced_ball(space, y)
+    classes = []
+    seen = set()
+    for idx, (row, dual) in enumerate(zip(ball.facet_rows, ball.facet_dual)):
+        if neg(row) not in seen:
+            seen.add(row)
+            classes.append((idx, dual))
+    return classes
+
+
+def _prefix_solve_best_coapprox(space, y, x):
+    """Reference: the former solver, one fresh LP on the whole prefix per facet class."""
+    m, values = coapprox.spaces._values(space, coapprox.spaces._checked(space.dim, x))
+    rows = ca.induced_ball(space, y).facet_rows
+    system = []
+    point = None
+    for idx, dual in _prefix_facet_classes(space, y):
+        low, high = min(values[i] for i in dual), max(values[i] for i in dual)
+        system += [(rows[idx], ">=", Fraction(low, m)), (rows[idx], "<=", Fraction(high, m))]
+        res = lp_solve(LpProblem(objective=zeros(y.dim), constraints=tuple(system)), "max")
+        if res.status != "optimal":
+            return ca.CoapproxResult(exists=False, failed_face=idx)
+        point = res.point
+    return ca.CoapproxResult(exists=True, y0=ca.embed(y, point), alpha=point, region=tuple(system))
+
+
+def _prefix_coapproximable_direction(space, y):
+    """Reference: the former anti search, one fresh LP on the whole prefix per tried pair."""
+    classes = [[space.dual_extreme[i] for i in dual] for _, dual in _prefix_facet_classes(space, y)]
+
+    def descend(system, level):
+        for g_minus, g_plus in itertools.product(classes[level], repeat=2):
+            rows = system + [(g_minus, "<=", F(0)), (g_plus, ">=", F(0))]
+            res = lp_solve(LpProblem(objective=zeros(space.dim), constraints=tuple(rows)), "max")
+            if res.status != "optimal":
+                continue
+            z = res.point if level + 1 == len(classes) else descend(rows, level + 1)
+            if z is not None:
+                return z
+        return None
+
+    for w in ca.solve_linear(y.basis, zeros(y.dim)).nullspace:
+        z = descend([(w, ">=", F(1))], 0)
+        if z is not None:
+            return z
+    return None
 
 
 def _fat_balls():

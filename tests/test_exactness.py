@@ -6,7 +6,8 @@ is an ``assert`` statement: ``python -O`` strips it, and a check that can
 vanish lets a failed invariant answer silently, so checks raise
 ``Discrepancy`` instead.  A space clears its own representations to integers,
 once: no module but ``spaces.py`` calls ``_cleared`` on a ``.dual_extreme``
-or ``.vertices`` attribute.
+or ``.vertices`` attribute.  There is one pivot kernel: no module but
+``linalg.py`` calls ``_eliminate``, ``_run_simplex`` or ``_cost_row``.
 """
 
 import ast
@@ -72,4 +73,35 @@ def test_the_clearing_lint_sees_each_call(tmp_path):
     )
     assert [v.split(": ", 1)[1] for v in _clearings(bad)] == [
         "clears space.dual_extreme", "clears ball.vertices",
+    ]
+
+
+KERNEL = ("_eliminate", "_run_simplex", "_cost_row")
+
+
+def _kernel_calls(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in KERNEL:
+                yield f"{path.name}:{node.lineno}: calls {name}"
+
+
+def test_only_linalg_pivots():
+    modules = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "linalg.py")
+    assert len(modules) >= 8
+    assert [v for path in modules for v in _kernel_calls(path)] == []
+    assert list(_kernel_calls(PACKAGE / "linalg.py"))
+
+
+def test_the_kernel_lint_sees_each_call(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "d = _eliminate(rows, 0, 1, d)\n"
+        "status, d = linalg._run_simplex(rows, basis, d)\n"
+        "cost = la._cost_row(rows, basis, cost, d)\n"
+        "e = eliminate(rows)\n"
+    )
+    assert [v.split(": ", 1)[1] for v in _kernel_calls(bad)] == [
+        "calls _eliminate", "calls _run_simplex", "calls _cost_row",
     ]

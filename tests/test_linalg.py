@@ -29,7 +29,7 @@ from coapprox.linalg import (
     zeros,
 )
 
-from conftest import independent_basis, rational_point, seeded
+from conftest import independent_basis, rational, rational_point, seeded
 
 F = Fraction
 
@@ -600,6 +600,132 @@ def _fraction_lp_solve(problem, sense="max"):
     point = tuple(values[j] - values[nvars + j] for j in range(nvars))
     value = dot(problem.objective, point)
     return ca.LpResult(status="optimal", value=value, point=point)
+
+
+class TestGrowingSystem:
+    """_Growing answers every row's feasibility as a fresh lp_solve does.
+
+    Rows are offered one at a time to one integer tableau; each answer is
+    compared with ``lp_solve`` on the accepted rows plus the offered one,
+    and each tableau's basic point must satisfy every accepted row.  A
+    refused row leaves the system as it was.  Branches grow copies of one
+    parent, as the anti search does.
+    """
+
+    def test_agrees_with_lp_solve_on_every_prefix(self, monkeypatch):
+        monkeypatch.setattr(coapprox.linalg, "_eliminate", _exact_eliminate)
+        rng = seeded(263)
+        kinds, answers = set(), []
+        for _ in range(2000):
+            nvars = rng.randint(1, 4)
+            grown, accepted = coapprox.linalg._Growing(nvars), []
+            branches = []
+            for _ in range(rng.randint(1, 7)):
+                kind, row = _growing_row(rng, nvars, accepted)
+                kinds.add(kind)
+                if rng.random() < 0.2:
+                    branches.append((grown.copy(), list(accepted)))
+                answers.append(_grow_and_compare(grown, accepted, row))
+            for twin, prefix in branches:
+                # the copy is untouched by the parent's later rows
+                _, row = _growing_row(rng, nvars, prefix)
+                _grow_and_compare(twin, prefix, row)
+        assert kinds == {"fresh", "duplicate", "opposite", "redundant", "degenerate"}
+        assert len(answers) >= 5000 and answers.count(False) >= 500
+
+    def test_a_refused_row_leaves_the_system_as_it_was(self):
+        grown = coapprox.linalg._Growing(2)
+        assert grown.add((ONE, ZERO), ">=", ONE)
+        state = (list(grown.rows), list(grown.basis), grown.d)
+        assert not grown.add((ONE, ZERO), "<=", ZERO)
+        assert (grown.rows, grown.basis, grown.d) == state
+        assert grown.add((ONE, ONE), "<=", F(3, 2))
+        assert not grown.add((ZERO, ONE), ">=", ONE)
+        with pytest.raises(ValueError):
+            grown.add((ONE, ONE), "==", ONE)
+
+
+def _exact_eliminate(rows, r, col, prev):
+    """The Bareiss step of linalg, refusing any division that leaves a remainder."""
+    top = rows[r]
+    p = top[col]
+    assert type(prev) is int and type(p) is int and p != 0
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            new = []
+            for a, b in zip(row, top):
+                q, rest = divmod(p * a - f * b, prev)
+                if rest:
+                    raise ArithmeticError("inexact Bareiss division")
+                new.append(q)
+            rows[i] = new
+    return p
+
+
+def _growing_row(rng, nvars, system):
+    """One more row: fresh, a duplicate, an opposite, a redundant sum, or through the origin."""
+    kind = rng.choice(["fresh", "duplicate", "opposite", "redundant", "degenerate"])
+    if kind not in ("fresh", "degenerate") and not system:
+        kind = "fresh"
+    rel = rng.choice(["<=", ">="])
+    if kind == "fresh":
+        return kind, (rational_point(rng, nvars, -3, 3, 3), rel, rational(rng, -4, 4, 3))
+    if kind == "degenerate":
+        return kind, (rational_point(rng, nvars, -2, 2, 2), rel, ZERO)
+    coeffs, rel, rhs = rng.choice(system)
+    if kind == "duplicate":
+        return kind, (coeffs, rel, rhs)
+    if kind == "opposite":
+        flipped = "<=" if rel == ">=" else ">="
+        return kind, (coeffs, flipped, rhs + rng.choice([0, 0, 1, -1]))
+    # a positive combination of two rows, turned into "<=" rows first
+    (a, ra, ba), (b, rb, bb) = (coeffs, rel, rhs), rng.choice(system)
+    a, ba = (neg(a), -ba) if ra == ">=" else (a, ba)
+    b, bb = (neg(b), -bb) if rb == ">=" else (b, bb)
+    s, t = F(rng.randint(1, 3)), F(rng.randint(0, 2))
+    return kind, (add(scale(a, s), scale(b, t)), "<=", s * ba + t * bb + rng.choice([0, 1]))
+
+
+def _feasible(system):
+    problem = ca.LpProblem(objective=zeros(len(system[0][0])), constraints=tuple(system))
+    return ca.lp_solve(problem).status != "infeasible"
+
+
+def _grow_and_compare(grown, accepted, row):
+    """Offer ``row``, check the answer and the tableau, and accept the row into ``accepted``."""
+    answer = grown.add(*row)
+    assert answer == _feasible(accepted + [row])
+    if answer:
+        accepted.append(row)
+    nvars, values = grown.nvars, {}
+    assert grown.d > 0 and len(grown.rows) == len(grown.basis) == len(accepted)
+    assert all(len(r) == 2 * nvars + len(accepted) + 1 for r in grown.rows)
+    assert all(r[-1] >= 0 for r in grown.rows)
+    for bc, r in zip(grown.basis, grown.rows):
+        values[bc] = F(r[-1], grown.d)
+    point = tuple(values.get(j, ZERO) - values.get(nvars + j, ZERO) for j in range(nvars))
+    assert _satisfies(accepted, point)
+    return answer
+
+
+class TestExactDot:
+    def test_agrees_with_the_fraction_sum(self):
+        rng = seeded(269)
+        for _ in range(3000):
+            n = rng.randint(0, 8)
+            u, v = rational_point(rng, n, -9, 9, 12), rational_point(rng, n, -9, 9, 12)
+            assert dot(u, v) == sum((a * b for a, b in zip(u, v)), ZERO)
+            assert type(dot(u, v)) is F
+
+    def test_int_entries_and_the_empty_vector(self):
+        assert dot((1, -2, 3), (4, 5, 6)) == 12 and type(dot((1, 2), (3, 4))) is F
+        assert dot((F(1, 2), 3), (4, F(-1, 6))) == F(3, 2)
+        assert dot((), ()) == 0 and type(dot((), ())) is F
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            dot((ONE, ONE), (ONE,))
 
 
 class TestStrictFeasibility:

@@ -11,6 +11,7 @@ import coapprox.polytope as polytope
 from coapprox.linalg import (
     ONE,
     ZERO,
+    _cleared,
     canonical_sorted,
     dot,
     is_zero,
@@ -90,6 +91,20 @@ def test_ray_loop_needs_no_fraction_dot(monkeypatch):
     assert len(keep) == 6 and len(facets) == 8 and all(len(t) == 4 for t in tight)
     v, h = polytope.symmetric_ball(OCTAHEDRON, kind="vertex")
     assert polytope.face_census(v, h) == {0: 6, 1: 12, 2: 8}
+
+
+def test_points_are_cleared_once_per_conversion(monkeypatch):
+    # rows and rays stay integers, reduced by gcd alone, through the whole pass
+    calls = []
+    real = polytope._cleared
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(polytope, "_cleared", counting)
+    assert len(polytope.conv_facets(prism_vertices())) == 8
+    assert calls == [12]
 
 
 def test_flat_input_rejected():
@@ -206,6 +221,13 @@ def _oracle_initial_rays(rows, d):
     return picked, cols
 
 
+def _primitive(ray):
+    """Scale a rational row by a positive rational to primitive integer coordinates."""
+    _, (ints,) = _cleared([ray])
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
 def test_initial_rays_match_the_oracle():
     rng = seeded(265)
     outcomes = set()
@@ -221,14 +243,14 @@ def test_initial_rays_match_the_oracle():
         try:
             expected = _oracle_initial_rays(rows, d)
         except ca.DegenerateInput:
-            for given in (rows, [polytope._primitive(row) for row in rows]):
+            for given in (rows, [_primitive(row) for row in rows]):
                 with pytest.raises(ca.DegenerateInput):
                     polytope._initial_rays(given, d)
             outcomes.add("degenerate")
             continue
         picked, cols = expected
         expected = (picked, [_oracle_primitive(list(col)) for col in cols])
-        for given in (rows, [polytope._primitive(row) for row in rows]):
+        for given in (rows, [_primitive(row) for row in rows]):
             assert polytope._initial_rays(given, d) == expected
         outcomes.add("simplicial")
     assert outcomes == {"simplicial", "degenerate"}
