@@ -196,10 +196,11 @@ def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResul
     toward smaller faces.  The intervals join one growing integer system one
     facet class at a time, each row re-optimized from the previous basis;
     the class whose interval first makes the system infeasible is the failed
-    facet.  A feasible system is solved once, by ``lp_solve``, for its
-    witness.
+    facet.  The witness is the basic point of the grown tableau, rechecked
+    facet by facet on the space's integer rows.
     """
-    m, values = _values(space, _checked(space.dim, x))
+    px = _checked(space.dim, x)
+    m, values = _values(space, px)
     ball = induced_ball(space, y)
     grown = _Growing(y.dim)
     system: list[Constraint] = []
@@ -209,16 +210,11 @@ def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResul
         system += [(row, ">=", Fraction(low, m)), (row, "<=", Fraction(high, m))]
         if not (grown.add(*system[-2]) and grown.add(*system[-1])):
             return CoapproxResult(exists=False, failed_face=idx)
-    point = _feasible_point(system, y.dim)
-    return CoapproxResult(exists=True, y0=embed(y, point), alpha=point, region=tuple(system))
-
-
-def _feasible_point(system: list[Constraint], nvars: int) -> Vector:
-    """The point ``lp_solve`` gives a system the growing tableau found feasible."""
-    res = lp_solve(LpProblem(objective=zeros(nvars), constraints=tuple(system)), "max")
-    if res.status != "optimal":
-        raise Discrepancy("lp_solve refuses a system the growing tableau found feasible")
-    return res.point
+    alpha = grown.point()
+    y0 = embed(y, alpha)
+    if _worst_gap(space, y, sub(px, y0))[0] != 0:
+        raise Discrepancy("the grown system's point is not a best coapproximation")
+    return CoapproxResult(exists=True, y0=y0, alpha=alpha, region=tuple(system))
 
 
 @dataclass(frozen=True)
@@ -246,25 +242,22 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
     asks for <w, z> >= 1 with one w of an annihilator basis of Y and chooses
     the pairs depth first.  Each tried pair grows a copy of its parent's
     integer system by two rows and is pruned when they make it infeasible;
-    a full path is solved once, by ``lp_solve``, for its z.  The tried pairs
-    are capped at _ANTI_LP_CAP.
+    a full path's tableau gives z as its basic point.  The tried pairs are
+    capped at _ANTI_LP_CAP.
     """
     classes = [
         [space.dual_extreme[i] for i in dual] for _, dual in induced_ball(space, y)._facet_classes
     ]
     calls = itertools.count(1)
 
-    def descend(parent: _Growing, system: list[Constraint], level: int) -> Vector | None:
+    def descend(parent: _Growing, level: int) -> Vector | None:
         for g_minus, g_plus in itertools.product(classes[level], repeat=2):
             if next(calls) > _ANTI_LP_CAP:
                 raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
-            rows = system + [(g_minus, "<=", ZERO), (g_plus, ">=", ZERO)]
             grown = parent.copy()
-            if not (grown.add(*rows[-2]) and grown.add(*rows[-1])):
+            if not (grown.add(g_minus, "<=", ZERO) and grown.add(g_plus, ">=", ZERO)):
                 continue
-            if level + 1 == len(classes):
-                return _feasible_point(rows, space.dim)
-            z = descend(grown, rows, level + 1)
+            z = grown.point() if level + 1 == len(classes) else descend(grown, level + 1)
             if z is not None:
                 return z
         return None
@@ -272,7 +265,7 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
     for w in solve_linear(y.basis, zeros(y.dim)).nullspace:
         root = _Growing(space.dim)
         root.add(w, ">=", ONE)
-        z = descend(root, [(w, ">=", ONE)], 0)
+        z = descend(root, 0)
         if z is not None:
             return z
     return None

@@ -3,11 +3,12 @@
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of such
 tuples.  Everything in this module is pure and tolerance-free: one
 fraction-free (Bareiss) pivot step on rows cleared to integers drives both the
-Gauss-Jordan elimination behind ranks and linear systems and the two-phase
-simplex, with Bland's anti-cycling rule, behind linear programs, so
-termination and exactness are guaranteed.  A feasibility system grown one row
-at a time keeps its tableau between rows.  No floating point enters any code
-path.
+Gauss-Jordan elimination behind ranks and linear systems and the simplex, with
+Bland's anti-cycling rule, behind linear programs, so termination and
+exactness are guaranteed.  There is one phase one: a feasibility system grown
+one row at a time keeps its tableau between rows, and a linear program is such
+a system, grown from its constraints and then optimized on the same tableau.
+No floating point enters any code path.
 """
 
 from __future__ import annotations
@@ -227,27 +228,23 @@ class LpProblem:
     constraints: tuple[Constraint, ...]
     bounds: tuple[tuple[Fraction | None, Fraction | None], ...] | None = None
 
+    def __post_init__(self):
+        for coeffs, rel, _ in self.constraints:
+            if rel not in ("<=", "==", ">="):
+                raise ValueError(f"unknown relation {rel!r}")
+            if len(coeffs) != len(self.objective):
+                raise ValueError("constraint arity does not match objective")
+        if self.bounds is not None and len(self.bounds) != len(self.objective):
+            raise ValueError("bounds arity does not match objective")
+
 
 def lp(objective, constraints, bounds=None) -> LpProblem:
     """Convenience constructor coercing all numeric entries exactly."""
-    obj = vec(objective)
-    cons = []
-    for coeffs, rel, rhs in constraints:
-        if rel not in ("<=", "==", ">="):
-            raise ValueError(f"unknown relation {rel!r}")
-        c = vec(coeffs)
-        if len(c) != len(obj):
-            raise ValueError("constraint arity does not match objective")
-        cons.append((c, rel, fr(rhs)))
-    bnds = None
-    if bounds is not None:
-        bnds = tuple(
-            (None if lo is None else fr(lo), None if hi is None else fr(hi))
-            for lo, hi in bounds
-        )
-        if len(bnds) != len(obj):
-            raise ValueError("bounds arity does not match objective")
-    return LpProblem(objective=obj, constraints=tuple(cons), bounds=bnds)
+    cons = tuple((vec(coeffs), rel, fr(rhs)) for coeffs, rel, rhs in constraints)
+    bnds = None if bounds is None else tuple(
+        (None if lo is None else fr(lo), None if hi is None else fr(hi)) for lo, hi in bounds
+    )
+    return LpProblem(objective=vec(objective), constraints=cons, bounds=bnds)
 
 
 @dataclass(frozen=True)
@@ -296,118 +293,50 @@ def _run_simplex(tableau: list, basis: list[int], d: int) -> tuple[str, int]:
 
 
 def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
-    """Exact two-phase simplex on a fraction-free integer tableau.
+    """Exact simplex on one fraction-free integer tableau, grown row by row.
 
-    Free variables are split into positive and negative parts; bounds become
-    extra inequality rows.  Phase one adds an artificial variable per
-    equality row and one shared by all inequality rows the origin violates.
-    One multiplier clears the system to integers; the tableau then holds d
-    times its entries, d > 0 the basis determinant, and Fractions are made
-    only when the point is read off.
+    Free variables are split into positive and negative parts.  Every
+    constraint joins one ``_Growing`` system, an equality as a "<=" and a
+    ">=" row, each bound as a row of its own; a refused row means the problem
+    is infeasible.  Phase two then minimizes the cleared objective on the
+    grown tableau, which holds d times its entries, d > 0 the basis
+    determinant, so Fractions are made only when the point is read off.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
     nvars = len(problem.objective)
-    cons: list[tuple[Vector, str, Fraction]] = list(problem.constraints)
-    if problem.bounds is not None:
-        for j, (lo, hi) in enumerate(problem.bounds):
-            if lo is not None:
-                cons.append((unit(nvars, j), ">=", lo))
-            if hi is not None:
-                cons.append((unit(nvars, j), "<=", hi))
-
-    ineq_rows = [i for i, (_, rel, _) in enumerate(cons) if rel != "=="]
-    slack_col = {row: 2 * nvars + k for k, row in enumerate(ineq_rows)}
-    nstruct = 2 * nvars + len(ineq_rows)
-
-    # One multiplier for the whole system: scaling rows apart could change
-    # which surplus row has the largest right-hand side below.
-    mult = lcm(*(x.denominator for coeffs, _, rhs in cons for x in (*coeffs, rhs)))
-    rows = []
-    for i, (coeffs, rel, rhs) in enumerate(cons):
-        row = [0] * nstruct
-        for j, c in enumerate(coeffs):
-            row[j] = c.numerator * (mult // c.denominator)
-            row[nvars + j] = -row[j]
-        if rel != "==":
-            row[slack_col[i]] = 1 if rel == "<=" else -1
-        row.append(rhs.numerator * (mult // rhs.denominator))
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append(row)
-
-    # The shared artificial starts on the surplus row with the largest
-    # right-hand side; subtracting every other surplus row from that one
-    # leaves its slack basic at a nonnegative value (one pivot, not one each).
-    surplus = [i for i, col in slack_col.items() if rows[i][col] == -1]
-    top = max(surplus, key=lambda i: rows[i][-1], default=None)
-    for i in surplus:
-        if i != top:
-            rows[i] = [a - b for a, b in zip(rows[top], rows[i])]
-    basis: list[int] = []
-    art_cols: list[int] = []
-    for i, (_, rel, _) in enumerate(cons):
-        col = slack_col.get(i)
-        if col is not None and rows[i][col] == 1:
-            basis.append(col)
-        else:
-            art = nstruct + len(art_cols)
-            art_cols.append(art)
-            basis.append(art)
-
-    width = nstruct + len(art_cols)
-    for i, (row, bc) in enumerate(zip(rows, basis)):
-        rows[i] = row[:-1] + [1 if c == bc else 0 for c in art_cols] + row[-1:]
-
-    d = 1  # the starting basis is the identity
-    if art_cols:
-        cost = [int(nstruct <= j < width) for j in range(width + 1)]
-        rows.append(_cost_row(rows, basis, cost, d))
-        status, d = _run_simplex(rows, basis, d)
-        if status != "optimal":
-            raise Discrepancy("phase one cannot be unbounded")
-        if rows[-1][-1] < 0:
-            return LpResult(status="infeasible")
-        for i in range(len(basis) - 1, -1, -1):
-            if basis[i] >= nstruct:
-                col = next((j for j in range(nstruct) if rows[i][j] != 0), None)
-                if col is None:
-                    del rows[i], basis[i]
-                    continue
-                if rows[i][col] < 0:  # its right-hand side is 0: flip it to keep d > 0
-                    rows[i] = [-x for x in rows[i]]
-                d = _eliminate(rows, i, col, d)
-                basis[i] = col
-        rows = [r[:nstruct] + [r[-1]] for r in rows[:-1]]
-        width = nstruct
+    rows = [
+        (c, r, b) for c, rel, b in problem.constraints for r in ("<=", ">=") if rel in (r, "==")
+    ]
+    for j, (lo, hi) in enumerate(problem.bounds or ()):
+        rows += [(unit(nvars, j), r, b) for r, b in ((">=", lo), ("<=", hi)) if b is not None]
+    grown = _Growing(nvars)
+    if not all(grown.add(*row) for row in rows):
+        return LpResult(status="infeasible")
 
     mult = lcm(*(c.denominator for c in problem.objective)) * (1 if sense == "min" else -1)
     obj = [c.numerator * (mult // c.denominator) for c in problem.objective]
-    cost = obj + [-c for c in obj] + [0] * (width - 2 * nvars + 1)
-    rows.append(_cost_row(rows, basis, cost, d))
-    status, d = _run_simplex(rows, basis, d)
+    cost = [*obj, *(-c for c in obj), *[0] * (len(grown.rows) + 1)]
+    tableau = grown.rows + [_cost_row(grown.rows, grown.basis, cost, grown.d)]
+    status, grown.d = _run_simplex(tableau, grown.basis, grown.d)
     if status == "unbounded":
         return LpResult(status="unbounded")
-
-    values = [ZERO] * width
-    for bc, row in zip(basis, rows):
-        values[bc] = Fraction(row[-1], d)
-    point = tuple(values[j] - values[nvars + j] for j in range(nvars))
-    value = dot(problem.objective, point)
-    return LpResult(status="optimal", value=value, point=point)
+    grown.rows = tableau[:-1]
+    point = grown.point()
+    return LpResult(status="optimal", value=dot(problem.objective, point), point=point)
 
 
 class _Growing:
     """A feasible system of inequalities on free variables, grown one row at a time.
 
-    It keeps one feasible integer tableau in the layout of ``lp_solve``:
-    columns [x+ | x- | one slack per row | rhs], every row holding d times
-    its entries, d > 0.  A new row is reduced against the current basis with
-    its slack basic; only when that slack comes out negative does phase one
-    run, on one artificial in that row and from the current basis, so a
-    grown system costs a few pivots instead of a fresh two-phase solve.  A
-    row that would make the system infeasible is refused and leaves it as
-    it was.
+    It keeps one feasible integer tableau: columns [x+ | x- | one slack per
+    row | rhs], every row holding d times its entries, d > 0.  A new row is
+    reduced against the current basis with its slack basic; only when that
+    slack comes out negative does phase one run, on one artificial in that
+    row and from the current basis, so a grown system costs a few pivots.  A
+    row that would make the system infeasible is refused and leaves it as it
+    was.  This is the only phase one: ``lp_solve`` grows its constraints here
+    and runs phase two on the result.
     """
 
     def __init__(self, nvars: int):
@@ -426,6 +355,8 @@ class _Growing:
         """Add <coeffs, x> rel rhs, rel "<=" or ">=", if the system stays feasible."""
         if rel not in ("<=", ">="):
             raise ValueError(f"unknown relation {rel!r}")
+        if len(coeffs) != self.nvars:
+            raise ValueError("row arity does not match the system")
         mult = lcm(*(x.denominator for x in (*coeffs, rhs))) * (1 if rel == "<=" else -1)
         ints = [c.numerator * (mult // c.denominator) for c in coeffs]
         d, slack = self.d, 2 * self.nvars + len(self.rows)
@@ -462,6 +393,12 @@ class _Growing:
         self.rows = [r[:art] + r[-1:] for r in rows]
         self.basis, self.d = basis, d
         return True
+
+    def point(self) -> Vector:
+        """The basic point of the tableau, which satisfies every row."""
+        values = {bc: row[-1] for bc, row in zip(self.basis, self.rows)}
+        n = self.nvars
+        return tuple(Fraction(values.get(j, 0) - values.get(n + j, 0), self.d) for j in range(n))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 
 import coapprox as ca
 import coapprox.coapproximation
+import coapprox.linalg
 import coapprox.spaces
 import coapprox.subspaces
 from coapprox.linalg import LpProblem, add, dot, lp_solve, neg, scale, sub, unit, vec, zeros
@@ -25,6 +26,7 @@ from conftest import (
     rational_point,
     seeded,
 )
+from test_linalg import _fraction_lp_solve
 
 F = Fraction
 
@@ -116,30 +118,38 @@ class TestSolveBestCoapprox:
             assert not ca.solve_best_coapprox(linf3, wide, x).exists
             checked += 1
 
-    def test_one_lp_per_solved_point_and_none_otherwise(self, monkeypatch, linf3, narrow):
-        # the growing system decides feasibility; lp_solve runs once, for the
-        # witness of a system that has one
-        calls = []
+    def test_no_lp_and_the_region_solves_to_the_witness(self, monkeypatch, linf3, narrow):
+        # the grown tableau decides feasibility and gives the witness, so no
+        # lp_solve runs; lp_solve on the returned region grows the same rows
+        # in the same order and stops at the same point
+        def refuse(*args):
+            raise AssertionError("lp_solve called")
 
-        def counting(problem, sense):
-            calls.append(problem)
-            return lp_solve(problem, sense)
-
-        monkeypatch.setattr(coapprox.coapproximation, "lp_solve", counting)
         assert len(ca.induced_ball(linf3, narrow)._facet_classes) == 2
         rng = seeded(241)
         cases = [(linf3, narrow, (1, -1, 0)), (ca.make_l1(3), ca.subspace(L1_BASIS), (1, 0, 0))]
         cases += [(linf3, narrow, rational_point(rng, 3)) for _ in range(20)]
-        outcomes = set()
+        outcomes, found = set(), set()
         for space, y, x in cases:
-            calls.clear()
-            res = ca.solve_best_coapprox(space, y, x)
-            assert len(calls) == (1 if res.exists else 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(coapprox.coapproximation, "lp_solve", refuse)
+                patch.setattr(coapprox.linalg, "lp_solve", refuse)
+                res = ca.solve_best_coapprox(space, y, x)
+                z = coapprox.coapproximation._coapproximable_direction(space, y)
             if res.exists:
-                (problem,) = calls
-                assert problem.constraints == res.region
+                assert lp_solve(LpProblem(zeros(y.dim), res.region)).point == res.alpha
+            assert z is None or ca.is_best_coapprox(space, y, z, zeros(space.dim))
             outcomes.add(res.exists)
-        assert outcomes == {True, False}
+            found.add(z is not None)
+        assert outcomes == found == {True, False}
+
+    def test_a_lying_tableau_point_raises(self, monkeypatch, prism, prism_flat):
+        x = (F(3), F(-2), F(5))
+        lie = (F(7), F(7))
+        assert not ca.is_best_coapprox(prism, prism_flat, x, ca.embed(prism_flat, lie))
+        monkeypatch.setattr(coapprox.linalg._Growing, "point", lambda self: lie)
+        with pytest.raises(ca.Discrepancy):
+            ca.solve_best_coapprox(prism, prism_flat, x)
 
     def test_point_inside_subspace_is_its_own_answer(self, prism, prism_flat):
         res = ca.solve_best_coapprox(prism, prism_flat, (2, -1, 0))
@@ -642,9 +652,12 @@ class TestSolverMatchesThePairSearch:
 class TestGrowingSystemKeepsTheAnswers:
     """The solver and the anti search grow one integer system per question.
 
-    They must answer exactly as the former code did, which solved a fresh LP
-    for every prefix: every result field and every witness is compared with
-    the verbatim copies below.
+    They must answer as the former code did, which solved a fresh LP for every
+    prefix: every result field and every witness is compared with the verbatim
+    copies below, run on the former two-phase simplex.  The witness is now the
+    grown tableau's basic point, so on the custom balls, where a region need
+    not be a single point, the solver may return another point of the same
+    region; that point is rechecked as a best coapproximation instead.
     """
 
     def test_solver_matches_the_prefix_lps(self, prism, prism_flat, prism_tilted, prism_steep):
@@ -655,20 +668,30 @@ class TestGrowingSystemKeepsTheAnswers:
                 for _ in range(3):
                     m = rng.randint(1, n - 1)
                     cases.append((space, ca.subspace(independent_basis(rng, n, m, -2, 2))))
-        for space, bases in _fat_balls():
-            for basis in bases:
-                cases.append((space, ca.subspace(basis)))
-        questions = [(space, y, nonzero_point(rng, space.dim, -3, 3, 2)) for space, y in cases * 4]
+        fat = [(space, ca.subspace(basis)) for space, bases in _fat_balls() for basis in bases]
+        questions = [
+            (space, y, nonzero_point(rng, space.dim, -3, 3, 2), (space, y) not in fat)
+            for space, y in (cases + fat) * 4
+        ]
         gen = _perfbench_gen()
         spaces = {"prism": lambda n: ca.make_custom(vertices=gen.PRISM_VERTICES),
                   "linf": ca.make_linf, "l1": ca.make_l1}
         pairs = [(spaces[kind](n), ca.subspace(rows)) for _, kind, n, rows in gen.PAIRS]
         asked = (q for q in gen.point_questions(1) if q.kind == "solve")
-        questions += [(*pairs[q.pair], q.x) for q in itertools.islice(asked, 180)]
+        questions += [(*pairs[q.pair], q.x, True) for q in itertools.islice(asked, 180)]
         outcomes = set()
-        for space, y, x in questions:
+        for space, y, x, exact in questions:
             res = ca.solve_best_coapprox(space, y, x)
-            assert res == _prefix_solve_best_coapprox(space, y, x), (space.kind, y.basis, x)
+            want = _prefix_solve_best_coapprox(space, y, x)
+            where = (space.kind, y.basis, x)
+            assert (res.exists, res.failed_face, res.region) == (
+                want.exists, want.failed_face, want.region
+            ), where
+            if res.y0 != want.y0:
+                # another point of a region that is not a single point
+                assert not exact, where
+                assert _satisfies(res.region, res.alpha) and res.y0 == ca.embed(y, res.alpha)
+                assert ca.is_best_coapprox(space, y, x, res.y0), where
             outcomes.add(res.exists)
         assert outcomes == {True, False}
 
@@ -732,7 +755,7 @@ def _prefix_solve_best_coapprox(space, y, x):
     for idx, dual in _prefix_facet_classes(space, y):
         low, high = min(values[i] for i in dual), max(values[i] for i in dual)
         system += [(rows[idx], ">=", Fraction(low, m)), (rows[idx], "<=", Fraction(high, m))]
-        res = lp_solve(LpProblem(objective=zeros(y.dim), constraints=tuple(system)), "max")
+        res = _fraction_lp_solve(LpProblem(zeros(y.dim), tuple(system)))
         if res.status != "optimal":
             return ca.CoapproxResult(exists=False, failed_face=idx)
         point = res.point
@@ -746,7 +769,7 @@ def _prefix_coapproximable_direction(space, y):
     def descend(system, level):
         for g_minus, g_plus in itertools.product(classes[level], repeat=2):
             rows = system + [(g_minus, "<=", F(0)), (g_plus, ">=", F(0))]
-            res = lp_solve(LpProblem(objective=zeros(space.dim), constraints=tuple(rows)), "max")
+            res = _fraction_lp_solve(LpProblem(zeros(space.dim), tuple(rows)))
             if res.status != "optimal":
                 continue
             z = res.point if level + 1 == len(classes) else descend(rows, level + 1)
@@ -799,7 +822,7 @@ def _pair_search(space, y, x):
                 (ca.restrict(y, g_minus), ">=", dot(g_minus, px)),
                 (ca.restrict(y, g_plus), "<=", dot(g_plus, px)),
             ]
-            res = lp_solve(LpProblem(objective=zeros(y.dim), constraints=tuple(rows)), "max")
+            res = _fraction_lp_solve(LpProblem(zeros(y.dim), tuple(rows)))
             if res.status == "optimal":
                 deepest = max(deepest, level + 1)
                 if level + 1 == len(classes) or descend(rows, level + 1):

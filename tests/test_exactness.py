@@ -7,7 +7,9 @@ vanish lets a failed invariant answer silently, so checks raise
 ``Discrepancy`` instead.  A space clears its own representations to integers,
 once: no module but ``spaces.py`` calls ``_cleared`` on a ``.dual_extreme``
 or ``.vertices`` attribute.  There is one pivot kernel: no module but
-``linalg.py`` calls ``_eliminate``, ``_run_simplex`` or ``_cost_row``.
+``linalg.py`` calls ``_eliminate``, ``_run_simplex`` or ``_cost_row``, and
+one phase one: inside it, only the growing system's ``add`` and the second
+phase of ``lp_solve`` run the simplex.
 """
 
 import ast
@@ -105,3 +107,39 @@ def test_the_kernel_lint_sees_each_call(tmp_path):
     assert [v.split(": ", 1)[1] for v in _kernel_calls(bad)] == [
         "calls _eliminate", "calls _run_simplex", "calls _cost_row",
     ]
+
+
+def _simplex_callers(path):
+    """The qualified names of the functions that call ``_run_simplex``, once per call."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "_run_simplex":
+                    yield owner
+            yield from visit(child, owner)
+
+    return sorted(visit(ast.parse(path.read_text(), filename=str(path)), ""))
+
+
+def test_one_phase_one():
+    assert _simplex_callers(PACKAGE / "linalg.py") == ["_Growing.add", "lp_solve"]
+
+
+def test_the_phase_one_lint_names_each_caller(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def solve(rows):\n"
+        "    status, d = _run_simplex(rows, [], 1)\n"
+        "    return la._run_simplex(rows, [], d)\n"
+        "class Tableau:\n"
+        "    def pivot(self):\n"
+        "        def inner():\n"
+        "            return _run_simplex(self.rows, [], 1)\n"
+        "        return inner()\n"
+    )
+    assert _simplex_callers(bad) == ["Tableau.pivot.inner", "solve", "solve"]

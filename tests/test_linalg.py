@@ -343,7 +343,7 @@ class TestLp:
         assert res.value == F(1, 3)
 
     def test_rows_violated_at_the_origin_match_vertex_enumeration(self):
-        # several ">=" rows with positive right-hand side share one artificial
+        # several ">=" rows with positive right-hand side, all violated at the origin
         rng = seeded(13)
         outcomes = set()
         for _ in range(60):
@@ -384,24 +384,43 @@ class TestLp:
                 assert dot(lhs, res.point) <= rhs
             count += 1
 
+    def test_an_unknown_relation_is_refused(self):
+        # "<" was once read as ">=", so max x under x < 1 came back unbounded
+        with pytest.raises(ValueError, match="relation"):
+            ca.LpProblem(objective=(F(1),), constraints=(((F(1),), "<", F(1)),))
+        with pytest.raises(ValueError, match="relation"):
+            ca.lp((1,), (((1,), "=", 1),))
+
+    def test_a_row_longer_than_the_objective_is_refused(self):
+        # its second coefficient once landed in the slack column
+        with pytest.raises(ValueError, match="constraint arity"):
+            ca.LpProblem(objective=(F(1),), constraints=(((F(1), F(1)), "<=", F(1)),))
+        with pytest.raises(ValueError, match="constraint arity"):
+            ca.lp((1, 1), (((1,), "<=", 1),))
+
+    def test_one_bound_pair_per_variable(self):
+        # a second pair on a one-variable problem was once ignored
+        with pytest.raises(ValueError, match="bounds arity"):
+            ca.LpProblem(objective=(F(1),), constraints=(), bounds=((F(0), F(1)), (F(0), F(2))))
+        with pytest.raises(ValueError, match="bounds arity"):
+            ca.lp((1, 1), (), bounds=((0, 1),))
+
 
 class TestIntegerSimplex:
-    """lp_solve pivots an integer tableau through the Bareiss step of _reduce.
+    """lp_solve grows its constraints into one integer tableau, then optimizes it.
 
-    The former simplex over a Fraction tableau is kept below as the oracle;
-    the integer tableau holds d times the same entries, so every pivot, and
-    with it every status, value and point, must be the same.
+    The former two-phase simplex over a Fraction tableau is kept below as the
+    oracle.  Its batch phase one is replaced by the growing system's, not
+    loosened, and a different phase one may stop at another optimal vertex:
+    status and value must equal the oracle's, and every optimal point is
+    rechecked exactly, so where the optimum is unique it is the oracle's point.
     """
 
     def test_agrees_with_the_fraction_simplex(self):
         rng = seeded(53)
         statuses = set()
         for _ in range(5000):
-            problem, sense = _random_lp(rng)
-            res = ca.lp_solve(problem, sense)
-            want = _fraction_lp_solve(problem, sense)
-            assert (res.status, res.value, res.point) == (want.status, want.value, want.point)
-            statuses.add(res.status)
+            statuses.add(_agrees_with_the_oracle(*_random_lp(rng)).status)
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
     def test_beale_cycling_example_reaches_its_optimum(self):
@@ -434,9 +453,23 @@ class TestIntegerSimplex:
         monkeypatch.setattr(coapprox.linalg, "_eliminate", spy)
         rng = seeded(59)
         for _ in range(300):
-            problem, sense = _random_lp(rng)
-            assert ca.lp_solve(problem, sense) == _fraction_lp_solve(problem, sense)
+            _agrees_with_the_oracle(*_random_lp(rng))
         assert len(seen) > 300
+
+
+def _agrees_with_the_oracle(problem, sense):
+    """lp_solve's status and value are the oracle's; its optimal point is rechecked."""
+    res = ca.lp_solve(problem, sense)
+    want = _fraction_lp_solve(problem, sense)
+    assert (res.status, res.value) == (want.status, want.value)
+    if res.status != "optimal":
+        assert res.point is None
+        return res
+    assert _satisfies(problem.constraints, res.point)
+    for x, (lo, hi) in zip(res.point, problem.bounds or [(None, None)] * len(res.point)):
+        assert (lo is None or lo <= x) and (hi is None or x <= hi)
+    assert dot(problem.objective, res.point) == res.value
+    return res
 
 
 def _random_lp(rng):
@@ -603,16 +636,16 @@ def _fraction_lp_solve(problem, sense="max"):
 
 
 class TestGrowingSystem:
-    """_Growing answers every row's feasibility as a fresh lp_solve does.
+    """_Growing answers every row's feasibility as the former two-phase simplex does.
 
     Rows are offered one at a time to one integer tableau; each answer is
-    compared with ``lp_solve`` on the accepted rows plus the offered one,
-    and each tableau's basic point must satisfy every accepted row.  A
+    compared with the Fraction oracle on the accepted rows plus the offered
+    one, and each tableau's basic point must satisfy every accepted row.  A
     refused row leaves the system as it was.  Branches grow copies of one
     parent, as the anti search does.
     """
 
-    def test_agrees_with_lp_solve_on_every_prefix(self, monkeypatch):
+    def test_agrees_with_the_fraction_simplex_on_every_prefix(self, monkeypatch):
         monkeypatch.setattr(coapprox.linalg, "_eliminate", _exact_eliminate)
         rng = seeded(263)
         kinds, answers = set(), []
@@ -643,6 +676,13 @@ class TestGrowingSystem:
         assert not grown.add((ZERO, ONE), ">=", ONE)
         with pytest.raises(ValueError):
             grown.add((ONE, ONE), "==", ONE)
+
+    def test_a_row_of_another_length_is_refused(self):
+        grown = coapprox.linalg._Growing(2)
+        for coeffs in ((ONE,), (ONE, ONE, ONE)):
+            with pytest.raises(ValueError, match="arity"):
+                grown.add(coeffs, "<=", ONE)
+        assert (grown.rows, grown.basis, grown.d) == ([], [], 1)
 
 
 def _exact_eliminate(rows, r, col, prev):
@@ -689,7 +729,7 @@ def _growing_row(rng, nvars, system):
 
 def _feasible(system):
     problem = ca.LpProblem(objective=zeros(len(system[0][0])), constraints=tuple(system))
-    return ca.lp_solve(problem).status != "infeasible"
+    return _fraction_lp_solve(problem).status != "infeasible"
 
 
 def _grow_and_compare(grown, accepted, row):
@@ -705,7 +745,7 @@ def _grow_and_compare(grown, accepted, row):
     for bc, r in zip(grown.basis, grown.rows):
         values[bc] = F(r[-1], grown.d)
     point = tuple(values.get(j, ZERO) - values.get(nvars + j, ZERO) for j in range(nvars))
-    assert _satisfies(accepted, point)
+    assert _satisfies(accepted, point) and grown.point() == point
     return answer
 
 
@@ -787,6 +827,11 @@ class TestStrictFeasibility:
             else:
                 assert res.witness is None
 
+    def test_rows_of_another_length_are_refused(self):
+        # the witness recheck once zipped the rows short and passed (1, 0)
+        with pytest.raises(ValueError, match="arity"):
+            ca.strict_feasibility(((1, 2), (1, 2, 3)))
+
     def test_witness_recheck_survives_optimized_mode(self):
         # an LP kernel that reports a non-witness as optimal must not pass
         # silently under python -O, which strips asserts
@@ -837,7 +882,7 @@ def _box_lp_feasible(c) -> bool:
     k = len(c[0])
     cons = tuple((row + (F(-1),), ">=", 0) for row in c)
     bounds = ((-1, 1),) * k + ((None, None),)
-    res = ca.lp_solve(ca.lp(unit(k + 1, k), cons, bounds), "max")
+    res = _fraction_lp_solve(ca.lp(unit(k + 1, k), cons, bounds), "max")
     assert res.status == "optimal"
     return res.value > 0
 
