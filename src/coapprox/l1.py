@@ -5,7 +5,8 @@ questions about a subspace Y = span A reduce to combinatorics of the central
 hyperplane arrangement H_i = {beta : <beta, comp(i)> = 0} in coefficient
 space, where comp(i) is the i-th coordinate column of the basis.  The minimal
 norming set consists of the sign vectors realized by open cells of that
-arrangement; it is unique exactly when no component is zero, and its size is
+arrangement, found by a sign walk that grows one integer tableau a row at a
+time; it is unique exactly when no component is zero, and its size is
 bounded by the number of cells, 2 * (C(n-1,0) + ... + C(n-1,m-1)) < 2^n.
 
 That strict gap is the reason no proper subspace of the sum-norm space is
@@ -18,17 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .coapproximation import CoapproxResult
 from .errors import Discrepancy, NonEmptyZeroSet
 from .linalg import (
+    ONE,
     Vector,
+    _cleared,
+    _Growing,
     dot,
     is_zero,
     neg,
     rank,
     solve_linear,
-    strict_feasibility,
     unit,
     vec,
 )
@@ -43,9 +47,11 @@ def cell_bound(n: int, m: int) -> int:
 
 def zero_set(a_rows) -> frozenset[int]:
     """1-based coordinates whose component is the zero vector."""
-    basis = subspace(a_rows).basis
-    comps = tuple(zip(*basis, strict=True))
-    return frozenset(i + 1 for i, c in enumerate(comps) if is_zero(c))
+    return _zero_set(subspace(a_rows).basis)
+
+
+def _zero_set(basis) -> frozenset[int]:
+    return frozenset(i + 1 for i, c in enumerate(zip(*basis, strict=True)) if is_zero(c))
 
 
 @dataclass(frozen=True)
@@ -73,45 +79,44 @@ class NormingSet:
 def minimal_norming_set(a_rows) -> NormingSet:
     """Enumerate the realized sign vectors by a sign-prefix search.
 
-    Signs are assigned coordinate by coordinate; a prefix survives only while
-    the strict system {s_i * <beta, comp(i)> > 0 : i assigned} stays feasible,
-    which prunes entire subtrees and keeps the walk polynomial in n for fixed
-    m.  The beta -> -beta symmetry fixes the first sign to +1 and the second
-    half of the set is obtained by negation.
+    Signs are assigned coordinate by coordinate, each child growing a copy of
+    its parent's integer system by its row s_i * <beta, comp(i)> >= 1; a
+    refused row prunes the subtree, which keeps the walk polynomial in n for
+    fixed m, and a full sign vector reads its witness off the tableau.  The
+    beta -> -beta symmetry fixes the first sign to +1 and the second half of
+    the set is obtained by negation.
     """
-    basis = subspace(a_rows).basis
-    zeros_found = zero_set(a_rows)
+    return _norming_set(subspace(a_rows).basis)
+
+
+def _norming_set(basis) -> NormingSet:
+    zeros_found = _zero_set(basis)
     if zeros_found:
         raise NonEmptyZeroSet(
             f"coordinates {sorted(zeros_found)} have zero components; "
             "the minimal norming set is not unique"
         )
     comps = tuple(zip(*basis, strict=True))
-    n = len(comps)
+    _, ints = _cleared(comps)  # for the witness recheck
     found: list[tuple[Vector, Vector]] = []
 
-    def assign(i: int, rows: list[Vector], signs: list[int]) -> None:
-        feas = strict_feasibility(tuple(rows))
-        if not feas.feasible:
+    def descend(parent: _Growing, i: int, signs: tuple[int, ...]) -> None:
+        if i == len(comps):
+            beta = parent.point()
+            _, (w,) = _cleared([beta])
+            if not all(s * sum(map(mul, row, w)) > 0 for s, row in zip(signs, ints)):
+                raise Discrepancy("a norming-set witness fails its sign vector")
+            found.append((vec(signs), beta))
             return
-        if i == n:
-            found.append((vec(signs), feas.witness))
-            return
-        for s in (1, -1):
-            rows.append(comps[i] if s == 1 else neg(comps[i]))
-            signs.append(s)
-            assign(i + 1, rows, signs)
-            rows.pop()
-            signs.pop()
+        for s in (1, -1) if i else (1,):
+            grown = parent.copy()
+            if grown.add(comps[i] if s == 1 else neg(comps[i]), ">=", ONE):
+                descend(grown, i + 1, (*signs, s))
 
-    assign(1, [comps[0]], [1])
+    descend(_Growing(len(basis)), 0, ())
     found.sort(key=lambda pair: pair[0], reverse=True)
-    signs: list[Vector] = []
-    witnesses: list[Vector] = []
-    for s, beta in found:
-        signs.extend((s, neg(s)))
-        witnesses.extend((beta, neg(beta)))
-    return NormingSet(signs=tuple(signs), witnesses=tuple(witnesses))
+    both = [pair for s, beta in found for pair in ((s, beta), (neg(s), neg(beta)))]
+    return NormingSet(signs=tuple(s for s, _ in both), witnesses=tuple(w for _, w in both))
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,11 @@ def l1_is_anti_coproximinal(a_rows) -> L1AntiResult:
     basis = subspace(a_rows).basis
     m, n = len(basis), len(basis[0])
     require_proper(m, n)
-    zeros_found = zero_set(a_rows)
+    zeros_found = _zero_set(basis)
     if zeros_found:
-        j = min(zeros_found)
-        return L1AntiResult(
-            status="no",
-            reason="zero-set",
-            witness_x=unit(n, j - 1),
-        )
-    norming = minimal_norming_set(a_rows)
+        witness = unit(n, min(zeros_found) - 1)
+        return L1AntiResult(status="no", reason="zero-set", witness_x=witness)
+    norming = _norming_set(basis)
     r = rank(norming.representatives)
     if r == n:
         return L1AntiResult(status="yes", norming=norming, rank=r)
@@ -165,7 +166,7 @@ def l1_best_coapprox(a_rows, b) -> CoapproxResult:
     y = subspace(a_rows)
     basis = y.basis
     point = _checked(y.ambient_dim, b)
-    norming = minimal_norming_set(a_rows)
+    norming = _norming_set(basis)
     reps = norming.representatives
     system = tuple(tuple(dot(row, s) for row in basis) for s in reps)
     rhs = tuple(dot(point, s) for s in reps)

@@ -6,8 +6,8 @@ fraction-free (Bareiss) pivot step on rows cleared to integers drives both the
 Gauss-Jordan elimination behind ranks and linear systems and the simplex, with
 Bland's anti-cycling rule, behind linear programs, so termination and
 exactness are guaranteed.  There is one phase one: a feasibility system grown
-one row at a time keeps its tableau between rows, and a linear program is such
-a system, grown from its constraints and then optimized on the same tableau.
+one row at a time keeps its tableau between rows.  A strict system is read
+off its basic point, and a linear program is optimized on its grown tableau.
 No floating point enters any code path.
 """
 
@@ -336,7 +336,7 @@ class _Growing:
     row and from the current basis, so a grown system costs a few pivots.  A
     row that would make the system infeasible is refused and leaves it as it
     was.  This is the only phase one: ``lp_solve`` grows its constraints here
-    and runs phase two on the result.
+    and runs phase two on them, ``strict_feasibility`` reads its basic point.
     """
 
     def __init__(self, nvars: int):
@@ -412,20 +412,21 @@ def strict_feasibility(c: Matrix) -> Feasibility:
 
     The system is homogeneous, so scaling any solution makes every row at
     least 1: it is the same question as the plain feasibility of C beta >= 1,
-    one phase-one simplex with a zero objective, and any feasible point is an
-    exact witness.
+    grown as one ``_Growing`` system whose basic point is an exact witness.
     """
     if not c:
         raise ValueError("strict_feasibility needs at least one row")
-    constraints = tuple((row, ">=", ONE) for row in c)
-    res = lp_solve(LpProblem(objective=zeros(len(c[0])), constraints=constraints))
-    if res.status != "optimal":
+    if any(len(row) != len(c[0]) for row in c):
+        raise ValueError("row arity does not match the system")
+    grown = _Growing(len(c[0]))
+    if not all(grown.add(row, ">=", ONE) for row in c):
         return Feasibility(feasible=False)
-    _, (witness,) = _cleared([res.point])
+    witness = grown.point()
+    _, (ints,) = _cleared([witness])
     _, rows = _cleared(c)
-    if not all(sum(map(mul, row, witness)) > 0 for row in rows):
+    if not all(sum(map(mul, row, ints)) > 0 for row in rows):
         raise Discrepancy("the strict-feasibility witness fails a row")
-    return Feasibility(feasible=True, witness=res.point)
+    return Feasibility(feasible=True, witness=witness)
 
 
 def affine_rank(points) -> int:

@@ -11,7 +11,7 @@ Y is strongly anti-coproximinal (equivalently, anti-coproximinal: the two
 notions coincide in this space) iff every coordinate's associated class is
 trivial and every component satisfies the separation property.  Both checks
 are exact: the separation property is a strict homogeneous feasibility
-problem, decided by LP after the sign reduction <beta, comp(i)> > 0.
+problem, grown on one tableau after the sign reduction <beta, comp(i)> > 0.
 
 Coordinates are 1-based throughout this module, matching the usual display
 convention for coordinate functionals.
@@ -55,13 +55,11 @@ def component_table(a_rows) -> ComponentTable:
     """Components and associated sets of an independent family in max norm."""
     basis = subspace(a_rows).basis
     comps = tuple(zip(*basis, strict=True))
-    p_plus = tuple(
-        frozenset(j + 1 for j, cj in enumerate(comps) if cj == ci) for ci in comps
-    )
-    p_minus = tuple(
-        frozenset(j + 1 for j, cj in enumerate(comps) if cj == neg(ci)) for ci in comps
-    )
-    return ComponentTable(components=comps, p_plus=p_plus, p_minus=p_minus)
+
+    def tied(targets) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(j + 1 for j, cj in enumerate(comps) if cj == t) for t in targets)
+
+    return ComponentTable(components=comps, p_plus=tied(comps), p_minus=tied(map(neg, comps)))
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,9 @@ def test_tracer_observes_a_traced_run_and_restores_every_binding():
         ca.is_strongly_anti_coproximinal(space, y)
         ca.solve_best_coapprox(space, y, (1, 0, 0))
         ca.l1_is_anti_coproximinal(((0, 1, 1), (-1, 0, 1)))
+        # the only library calls left that reach lp_solve and strict_feasibility
+        ca.bj_orthogonal_lambda_oracle(space, (1, 0, 0), (0, 1, 0))
+        ca.star_property(((1, 1, 2), (2, 2, 1)), 3)
     metrics = tracer.layer_metrics(1, None)
     for name in ("linalg.rank.calls", "linalg.solve_linear.calls",
                  "linalg.lp_solve.rows_mean", "polytope.conv_facets.facets_mean"):

@@ -9,7 +9,9 @@ once: no module but ``spaces.py`` calls ``_cleared`` on a ``.dual_extreme``
 or ``.vertices`` attribute.  There is one pivot kernel: no module but
 ``linalg.py`` calls ``_eliminate``, ``_run_simplex`` or ``_cost_row``, and
 one phase one: inside it, only the growing system's ``add`` and the second
-phase of ``lp_solve`` run the simplex.
+phase of ``lp_solve`` run the simplex.  Strict systems and search trees grow
+that system directly, so only the lambda oracle of orthogonality calls
+``lp_solve``.
 """
 
 import ast
@@ -109,8 +111,8 @@ def test_the_kernel_lint_sees_each_call(tmp_path):
     ]
 
 
-def _simplex_callers(path):
-    """The qualified names of the functions that call ``_run_simplex``, once per call."""
+def _callers(path, callee):
+    """The qualified names of the functions that call ``callee``, once per call."""
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -119,11 +121,15 @@ def _simplex_callers(path):
                 continue
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name == "_run_simplex":
+                if name == callee:
                     yield owner
             yield from visit(child, owner)
 
     return sorted(visit(ast.parse(path.read_text(), filename=str(path)), ""))
+
+
+def _simplex_callers(path):
+    return _callers(path, "_run_simplex")
 
 
 def test_one_phase_one():
@@ -143,3 +149,30 @@ def test_the_phase_one_lint_names_each_caller(tmp_path):
         "        return inner()\n"
     )
     assert _simplex_callers(bad) == ["Tableau.pivot.inner", "solve", "solve"]
+
+
+def _lp_solve_callers():
+    return [
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner in _callers(path, "lp_solve")
+    ]
+
+
+def test_only_the_lambda_oracle_solves_an_lp():
+    # strict systems and search trees grow a _Growing system directly
+    assert _lp_solve_callers() == ["coapproximation.bj_orthogonal_lambda_oracle"]
+
+
+def test_the_lp_solve_lint_names_each_caller(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from coapprox import linalg as la\n"
+        "def strict(rows):\n"
+        "    return la.lp_solve(rows).status\n"
+        "class Walk:\n"
+        "    def leaf(self):\n"
+        "        return lp_solve(self.problem, 'min')\n"
+        "lp = lp_solve\n"
+    )
+    assert _callers(bad, "lp_solve") == ["Walk.leaf", "strict"]

@@ -1,13 +1,30 @@
 """Sum-norm fast path: zero sets, minimal norming sets, the no-strong bound."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from operator import mul
+from pathlib import Path
 
 import pytest
 
 import coapprox as ca
 from coapprox.l1 import cell_bound
-from coapprox.linalg import add, dot, neg, scale, zeros
+from coapprox.linalg import (
+    ONE,
+    Feasibility,
+    LpProblem,
+    _cleared,
+    add,
+    dot,
+    lp_solve,
+    neg,
+    scale,
+    vec,
+    zeros,
+)
 
 from conftest import L1_BASIS, independent_basis, rational, rational_point, seeded
 
@@ -108,6 +125,163 @@ class TestMinimalNormingSet:
                 continue
             signs = set(ca.minimal_norming_set(rows).signs)
             assert signs == {neg(s) for s in signs}
+
+
+def _former_strict_feasibility(c):
+    """The former strict_feasibility, verbatim: one zero-objective LP through lp_solve."""
+    if not c:
+        raise ValueError("strict_feasibility needs at least one row")
+    constraints = tuple((row, ">=", ONE) for row in c)
+    res = lp_solve(LpProblem(objective=zeros(len(c[0])), constraints=constraints))
+    if res.status != "optimal":
+        return Feasibility(feasible=False)
+    _, (witness,) = _cleared([res.point])
+    _, rows = _cleared(c)
+    if not all(sum(map(mul, row, witness)) > 0 for row in rows):
+        raise ca.Discrepancy("the strict-feasibility witness fails a row")
+    return Feasibility(feasible=True, witness=res.point)
+
+
+def _former_minimal_norming_set(a_rows):
+    """The former per-node walk, verbatim: one fresh strict system per prefix."""
+    basis = ca.subspace(a_rows).basis
+    zeros_found = ca.zero_set(a_rows)
+    if zeros_found:
+        raise ca.NonEmptyZeroSet(
+            f"coordinates {sorted(zeros_found)} have zero components; "
+            "the minimal norming set is not unique"
+        )
+    comps = tuple(zip(*basis, strict=True))
+    n = len(comps)
+    found = []
+
+    def assign(i, rows, signs):
+        feas = _former_strict_feasibility(tuple(rows))
+        if not feas.feasible:
+            return
+        if i == n:
+            found.append((vec(signs), feas.witness))
+            return
+        for s in (1, -1):
+            rows.append(comps[i] if s == 1 else neg(comps[i]))
+            signs.append(s)
+            assign(i + 1, rows, signs)
+            rows.pop()
+            signs.pop()
+
+    assign(1, [comps[0]], [1])
+    found.sort(key=lambda pair: pair[0], reverse=True)
+    signs = []
+    witnesses = []
+    for s, beta in found:
+        signs.extend((s, neg(s)))
+        witnesses.extend((beta, neg(beta)))
+    return ca.NormingSet(signs=tuple(signs), witnesses=tuple(witnesses))
+
+
+def _seeded_spans():
+    rng = seeded(251)
+    for n in range(3, 9):
+        for m in range(1, n):
+            for _ in range(2 if n < 7 else 1):
+                yield independent_basis(rng, n, m, -3, 3)
+    yield independent_basis(rng, 10, 5, -3, 3)
+
+
+class TestGrownWalk:
+    def test_equals_the_former_per_node_walk(self):
+        walked = 0
+        for rows in _seeded_spans():
+            if ca.zero_set(rows):
+                with pytest.raises(ca.NonEmptyZeroSet):
+                    ca.minimal_norming_set(rows)
+                continue
+            ns = ca.minimal_norming_set(rows)
+            former = _former_minimal_norming_set(rows)
+            assert ns.signs == former.signs
+            assert ns.witnesses == former.witnesses
+            walked += 1
+        assert walked >= 35
+
+    def test_no_strict_system_or_lp_is_solved(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the walk solved a strict system or an LP")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("coapprox")]:
+            for name in ("strict_feasibility", "lp_solve"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        rng = seeded(257)
+        for _ in range(10):
+            rows = independent_basis(rng, 6, 3, -3, 3)
+            if not ca.zero_set(rows):
+                ca.minimal_norming_set(rows)
+                ca.l1_is_anti_coproximinal(rows)
+                ca.l1_best_coapprox(rows, rational_point(rng, 6))
+
+    def test_each_public_call_validates_its_basis_once(self, monkeypatch):
+        calls = []
+        real = ca.l1.subspace
+
+        def spy(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(ca.l1, "subspace", spy)
+        for call in (
+            lambda: ca.zero_set(L1_BASIS),
+            lambda: ca.minimal_norming_set(L1_BASIS),
+            lambda: ca.l1_is_anti_coproximinal(L1_BASIS),
+            lambda: ca.l1_best_coapprox(L1_BASIS, (1, 0, 0)),
+        ):
+            calls.clear()
+            call()
+            assert calls == [L1_BASIS]
+
+    def test_refusals_keep_their_order(self):
+        # dependent basis, then the dimension range, then the zero set
+        with pytest.raises(ca.DependentBasis):
+            ca.l1_is_anti_coproximinal([(0, 1, 0), (0, 2, 0)])
+        with pytest.raises(ca.DimensionOutOfRange):
+            ca.l1_is_anti_coproximinal([(1, 0, 0)])
+        assert ca.l1_is_anti_coproximinal([(1, 0, 0), (0, 1, 0)]).reason == "zero-set"
+        with pytest.raises(ca.DependentBasis):
+            ca.l1_best_coapprox([(0, 1, 0), (0, 2, 0)], (1, 0))
+        with pytest.raises(ca.NonEmptyZeroSet):
+            ca.l1_best_coapprox([(1, 0, 0), (0, 1, 0)], (1, 0, 0))
+
+    def test_a_lying_tableau_is_caught_in_optimized_mode(self):
+        # python -O strips asserts; the leaf recheck must still raise
+        src = str(Path(ca.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _LYING_WALK_SCRIPT],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "Discrepancy", "Discrepancy"]
+
+
+_LYING_WALK_SCRIPT = """
+import coapprox as ca
+import coapprox.linalg as la
+
+print(__debug__)
+honest = la._Growing.point
+la._Growing.point = lambda self: tuple(-x for x in honest(self))
+for call in (
+    lambda: la.strict_feasibility(ca.mat([(1, 0), (1, 1)])),
+    lambda: ca.minimal_norming_set(((0, 1, 1), (-1, 0, 1))),
+):
+    try:
+        call()
+    except ca.Discrepancy:
+        print("Discrepancy")
+    else:
+        print("answered")
+"""
 
 
 class TestL1Anti:

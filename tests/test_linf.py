@@ -39,6 +39,18 @@ class TestComponentTable:
         assert t.p_minus[0] == frozenset({2})
         assert t.associated(1) == frozenset({1, 2})
 
+    def test_one_negation_per_component(self, monkeypatch):
+        calls = []
+        real = ca.linf.neg
+
+        def spy(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(ca.linf, "neg", spy)
+        t = ca.component_table(WIDE_BASIS)
+        assert sorted(calls) == sorted(t.components)
+
     def test_every_index_is_self_associated(self):
         t = ca.component_table(WIDE_BASIS)
         for i in range(1, t.n + 1):
