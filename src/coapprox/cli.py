@@ -41,7 +41,7 @@ from .coapproximation import (
 from .errors import BudgetExceeded, CoapproxError, Discrepancy
 from .l1 import l1_best_coapprox, minimal_norming_set, zero_set
 from .linalg import vec
-from .linf import star_property
+from .linf import _star, component_table
 from .polytope import face_census
 from .spaces import (
     PolyhedralSpace,
@@ -301,11 +301,10 @@ def _cmd_classify(req: Request) -> dict:
 
 
 def _cmd_star_property(req: Request) -> dict:
-    basis = req.need_basis()
-    n = len(basis[0])
+    table = component_table(req.need_basis())
     rows = []
-    for i in range(1, n + 1):
-        result = star_property(basis, i)
+    for i in range(1, table.n + 1):
+        result = _star(table, i)
         entry: dict = {"i": i, "holds": result.holds}
         if result.witness is not None:
             entry["witness"] = result.witness

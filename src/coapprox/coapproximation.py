@@ -47,6 +47,7 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
+    _cleared,
     _Growing,
     centroid,
     dot,
@@ -202,13 +203,15 @@ def solve_best_coapprox(space: PolyhedralSpace, y: Subspace, x) -> CoapproxResul
     px = _checked(space.dim, x)
     m, values = _values(space, px)
     ball = induced_ball(space, y)
+    fm, frows = ball._facet_ints
     grown = _Growing(y.dim)
     system: list[Constraint] = []
     for idx, dual in ball._facet_classes:
         low, high = min(values[i] for i in dual), max(values[i] for i in dual)
         row = ball.facet_rows[idx]
         system += [(row, ">=", Fraction(low, m)), (row, "<=", Fraction(high, m))]
-        if not (grown.add(*system[-2]) and grown.add(*system[-1])):
+        ints = [m * x for x in frows[idx]]  # m * fm times the row: bounds fm * low, fm * high
+        if not (grown.add([-x for x in ints], -fm * low) and grown.add(ints, fm * high)):
             return CoapproxResult(exists=False, failed_face=idx)
     alpha = grown.point()
     y0 = embed(y, alpha)
@@ -245,8 +248,9 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
     a full path's tableau gives z as its basic point.  The tried pairs are
     capped at _ANTI_LP_CAP.
     """
+    _, functionals = space._functional_ints
     classes = [
-        [space.dual_extreme[i] for i in dual] for _, dual in induced_ball(space, y)._facet_classes
+        [functionals[i] for i in dual] for _, dual in induced_ball(space, y)._facet_classes
     ]
     calls = itertools.count(1)
 
@@ -255,7 +259,7 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
             if next(calls) > _ANTI_LP_CAP:
                 raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
             grown = parent.copy()
-            if not (grown.add(g_minus, "<=", ZERO) and grown.add(g_plus, ">=", ZERO)):
+            if not (grown.add(g_minus, 0) and grown.add([-x for x in g_plus], 0)):
                 continue
             z = grown.point() if level + 1 == len(classes) else descend(grown, level + 1)
             if z is not None:
@@ -264,7 +268,8 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
 
     for w in solve_linear(y.basis, zeros(y.dim)).nullspace:
         root = _Growing(space.dim)
-        root.add(w, ">=", ONE)
+        mult, (ints,) = _cleared([w])
+        root.add([-x for x in ints], -mult)
         z = descend(root, 0)
         if z is not None:
             return z

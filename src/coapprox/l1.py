@@ -24,7 +24,6 @@ from operator import mul
 from .coapproximation import CoapproxResult
 from .errors import Discrepancy, NonEmptyZeroSet
 from .linalg import (
-    ONE,
     Vector,
     _cleared,
     _Growing,
@@ -97,7 +96,7 @@ def _norming_set(basis) -> NormingSet:
             "the minimal norming set is not unique"
         )
     comps = tuple(zip(*basis, strict=True))
-    _, ints = _cleared(comps)  # for the witness recheck
+    mult, ints = _cleared(comps)
     found: list[tuple[Vector, Vector]] = []
 
     def descend(parent: _Growing, i: int, signs: tuple[int, ...]) -> None:
@@ -110,7 +109,7 @@ def _norming_set(basis) -> NormingSet:
             return
         for s in (1, -1) if i else (1,):
             grown = parent.copy()
-            if grown.add(comps[i] if s == 1 else neg(comps[i]), ">=", ONE):
+            if grown.add([-s * x for x in ints[i]], -mult):
                 descend(grown, i + 1, (*signs, s))
 
     descend(_Growing(len(basis)), 0, ())

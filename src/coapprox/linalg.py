@@ -2,12 +2,12 @@
 
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of such
 tuples.  Everything in this module is pure and tolerance-free: one
-fraction-free (Bareiss) pivot step on rows cleared to integers drives both the
-Gauss-Jordan elimination behind ranks and linear systems and the simplex, with
-Bland's anti-cycling rule, behind linear programs, so termination and
-exactness are guaranteed.  There is one phase one: a feasibility system grown
-one row at a time keeps its tableau between rows.  A strict system is read
-off its basic point, and a linear program is optimized on its grown tableau.
+fraction-free (Bareiss) pivot step on rows cleared to integers drives the
+Gauss-Jordan elimination behind ranks and linear systems, and the same step on
+a condensed tableau (nonbasic columns only) the simplex, with Bland's rule, so
+termination and exactness are guaranteed.  One phase one grows a system of
+integer rows on one tableau; a strict system is read off its basic point, and
+a linear program is optimized on it.
 No floating point enters any code path.
 """
 
@@ -254,53 +254,56 @@ class LpResult:
     point: Vector | None = None
 
 
-def _cost_row(rows: list, basis: list[int], cost: list[int], d: int) -> list[int]:
-    """d times ``cost`` with its basic entries eliminated by their rows.
+def _pivot(rows: list, r: int, s: int, d: int) -> int:
+    """``_eliminate`` on the nonbasic columns, in place: rows[r][s] = p enters; returns p.
 
-    For a cost row (0 at the right-hand side) these are the reduced costs; for
-    a new constraint row, its entries in the current basis.
+    Column s then holds the leaving variable, whose full column was d times a
+    unit vector: -f in each row i != r, f its old entry, and d in row r.
     """
-    out = [d * c for c in cost]
-    for bc, row in zip(basis, rows):
-        w = cost[bc]
-        if w:
-            out = [o - w * a for o, a in zip(out, row)]
-    return out
+    top, p = rows[r], rows[r][s]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[s]
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+            rows[i][s] = -f
+    rows[r] = [*top[:s], d, *top[s + 1:]]
+    return p
 
 
-def _run_simplex(tableau: list, basis: list[int], d: int) -> tuple[str, int]:
-    """Minimize over the integer tableau in place; returns the status and the new d.
+def _run_simplex(tableau: list, basis: list[int], cols: list[int], d: int) -> tuple[str, int]:
+    """Minimize over the condensed tableau in place; returns the status and the new d.
 
-    Every row holds d times its entries, the cost row last, so a pivot is one
-    ``_eliminate`` step.  Bland's rule both for the entering column (lowest
-    index with negative reduced cost) and for ratio-test ties (lowest basis
-    index), which rules out cycling; ratios are compared cross-multiplied.
+    Rows are laid out as ``_Growing``'s, the cost row last, so a pivot is one
+    ``_pivot`` step and a swap of labels.  Bland's rule both for the entering
+    column (lowest label with negative reduced cost) and for ratio-test ties
+    (lowest basis label) rules out cycling; ratios are compared cross-multiplied.
     """
     while True:
         cost = tableau[-1]
-        enter = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
-        if enter is None:
+        negative = [c for c, w in zip(cols, cost) if w < 0]
+        if not negative:
             return "optimal", d
+        s = cols.index(min(negative))
         leave = None
         for i, (bc, row) in enumerate(zip(basis, tableau)):
-            a, rhs = row[enter], row[-1]
+            a, rhs = row[s], row[-1]
             if a > 0 and (leave is None or (rhs * den, bc) < (num * a, basis[leave])):
                 leave, num, den = i, rhs, a
         if leave is None:
             return "unbounded", d
-        d = _eliminate(tableau, leave, enter, d)
-        basis[leave] = enter
+        d = _pivot(tableau, leave, s, d)
+        basis[leave], cols[s] = cols[s], basis[leave]
 
 
 def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
-    """Exact simplex on one fraction-free integer tableau, grown row by row.
+    """Exact simplex on one condensed integer tableau, grown row by row.
 
     Free variables are split into positive and negative parts.  Every
-    constraint joins one ``_Growing`` system, an equality as a "<=" and a
-    ">=" row, each bound as a row of its own; a refused row means the problem
-    is infeasible.  Phase two then minimizes the cleared objective on the
-    grown tableau, which holds d times its entries, d > 0 the basis
-    determinant, so Fractions are made only when the point is read off.
+    constraint joins one ``_Growing`` system cleared to integers, an equality
+    as a "<=" and a ">=" row, each bound as a row of its own; a refused row
+    means the problem is infeasible.  Phase two then minimizes the cleared
+    objective on the grown tableau, which holds d times its entries, so
+    Fractions are made only when the point is read off.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -311,14 +314,13 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
     for j, (lo, hi) in enumerate(problem.bounds or ()):
         rows += [(unit(nvars, j), r, b) for r, b in ((">=", lo), ("<=", hi)) if b is not None]
     grown = _Growing(nvars)
-    if not all(grown.add(*row) for row in rows):
-        return LpResult(status="infeasible")
-
-    mult = lcm(*(c.denominator for c in problem.objective)) * (1 if sense == "min" else -1)
-    obj = [c.numerator * (mult // c.denominator) for c in problem.objective]
-    cost = [*obj, *(-c for c in obj), *[0] * (len(grown.rows) + 1)]
-    tableau = grown.rows + [_cost_row(grown.rows, grown.basis, cost, grown.d)]
-    status, grown.d = _run_simplex(tableau, grown.basis, grown.d)
+    for coeffs, rel, b in rows:
+        _, ((*ints, rhs),) = _cleared([(*coeffs, b) if rel == "<=" else (*neg(coeffs), -b)])
+        if not grown.add(ints, rhs):
+            return LpResult(status="infeasible")
+    _, (obj,) = _cleared([problem.objective])
+    tableau = [*grown.rows, grown._reduced([x if sense == "min" else -x for x in obj], 0)]
+    status, grown.d = _run_simplex(tableau, grown.basis, grown.cols, grown.d)
     if status == "unbounded":
         return LpResult(status="unbounded")
     grown.rows = tableau[:-1]
@@ -327,71 +329,74 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
 
 
 class _Growing:
-    """A feasible system of inequalities on free variables, grown one row at a time.
+    """A feasible system of integer rows <ints, x> <= b on free variables, grown row by row.
 
-    It keeps one feasible integer tableau: columns [x+ | x- | one slack per
-    row | rhs], every row holding d times its entries, d > 0.  A new row is
-    reduced against the current basis with its slack basic; only when that
-    slack comes out negative does phase one run, on one artificial in that
-    row and from the current basis, so a grown system costs a few pivots.  A
-    row that would make the system infeasible is refused and leaves it as it
-    was.  This is the only phase one: ``lp_solve`` grows its constraints here
-    and runs phase two on them, ``strict_feasibility`` reads its basic point.
+    It keeps one condensed integer tableau, as Avis's lrs does: with labels
+    x+_j = j, x-_j = n + j and 2n + k for the slack of row k, a row holds its
+    basic label's entries in the 2n nonbasic columns ``cols``, then its
+    right-hand side, all d times their values, d > 0; a basic column, d times
+    a unit vector, is not stored.  A new row enters with its slack basic, and
+    only a negative slack runs phase one, on one artificial from the current
+    basis.  A row that would make the system infeasible is refused and leaves
+    the system as it was.  This is the only phase one.
     """
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
+        self.cols = list(range(2 * nvars))
         self.d = 1
 
     def copy(self) -> _Growing:
         # no row list is changed in place, so the copies may share them
         twin = _Growing(self.nvars)
-        twin.rows, twin.basis, twin.d = list(self.rows), list(self.basis), self.d
+        twin.rows, twin.basis, twin.cols, twin.d = [*self.rows], [*self.basis], [*self.cols], self.d
         return twin
 
-    def add(self, coeffs: Vector, rel: Relation, rhs: Fraction) -> bool:
-        """Add <coeffs, x> rel rhs, rel "<=" or ">=", if the system stays feasible."""
-        if rel not in ("<=", ">="):
-            raise ValueError(f"unknown relation {rel!r}")
-        if len(coeffs) != self.nvars:
+    def _reduced(self, ints: list[int], b: int) -> list[int]:
+        """d times the row <ints, x+ - x-> = b with every basic column eliminated."""
+        by_label, d = [*ints, *[-c for c in ints], *[0] * len(self.rows)], self.d
+        row = [d * by_label[c] for c in self.cols] + [d * b]
+        for bc, r in zip(self.basis, self.rows):
+            w = by_label[bc]
+            if w:
+                row = [o - w * a for o, a in zip(row, r)]
+        return row
+
+    def add(self, ints: list[int], b: int) -> bool:
+        """Add the integer row <ints, x> <= b if the system stays feasible."""
+        if len(ints) != self.nvars:
             raise ValueError("row arity does not match the system")
-        mult = lcm(*(x.denominator for x in (*coeffs, rhs))) * (1 if rel == "<=" else -1)
-        ints = [c.numerator * (mult // c.denominator) for c in coeffs]
-        d, slack = self.d, 2 * self.nvars + len(self.rows)
-        # every old row is 0 in the new slack column, so the row is reduced
-        # without it and takes d there
-        row = [*ints, *(-c for c in ints), *[0] * len(self.rows)]
-        row = _cost_row(self.rows, self.basis, [*row, rhs.numerator * (mult // rhs.denominator)], d)
+        if {type(b), *map(type, ints)} != {int}:
+            raise TypeError("a grown row takes int entries only")
+        slack = 2 * self.nvars + len(self.rows)
+        row = self._reduced(ints, b)
         if row[-1] >= 0:
-            self.rows = [r[:-1] + [0, r[-1]] for r in self.rows] + [row[:-1] + [d, row[-1]]]
+            self.rows.append(row)
             self.basis.append(slack)
             return True
-        # flipped, the row takes one artificial, the column after its slack, basic at d
-        art = slack + 1
-        rows = [r[:-1] + [0, 0, r[-1]] for r in self.rows]
-        rows.append([-x for x in row[:-1]] + [-d, d, -row[-1]])
-        basis = self.basis + [art]
-        cost = [0] * (art + 2)
-        cost[art] = 1
-        rows.append(_cost_row(rows, basis, cost, d))
-        status, d = _run_simplex(rows, basis, d)
+        # flipped, the row takes an artificial basic at d; the phase-one cost is minus its row
+        d, art = self.d, slack + 1
+        rows = [[*r[:-1], 0, r[-1]] for r in self.rows]
+        rows += [[*[-x for x in row[:-1]], -d, -row[-1]], [*row[:-1], d, row[-1]]]
+        basis, cols = [*self.basis, art], [*self.cols, slack]
+        status, d = _run_simplex(rows, basis, cols, d)
         if status != "optimal":
             raise Discrepancy("phase one cannot be unbounded")
         if rows.pop()[-1] < 0:
             return False
         if art in basis:
-            # basic at 0; [A | I] has full row rank, so the row has a nonzero
-            # entry outside the artificial column
+            # basic at 0; [A | I] has full row rank, so a nonbasic entry of its row is nonzero
             i = basis.index(art)
-            col = next(j for j in range(art) if rows[i][j] != 0)
-            if rows[i][col] < 0:  # its right-hand side is 0: flip it to keep d > 0
+            _, s = min((c, s) for s, c in enumerate(cols) if rows[i][s] != 0)
+            if rows[i][s] < 0:  # its right-hand side is 0: flip it to keep d > 0
                 rows[i] = [-x for x in rows[i]]
-            d = _eliminate(rows, i, col, d)
-            basis[i] = col
-        self.rows = [r[:art] + r[-1:] for r in rows]
-        self.basis, self.d = basis, d
+            d = _pivot(rows, i, s, d)
+            basis[i], cols[s] = cols[s], basis[i]
+        s = cols.index(art)
+        self.rows = [[*r[:s], *r[s + 1:]] for r in rows]
+        self.basis, self.cols, self.d = basis, cols[:s] + cols[s + 1:], d
         return True
 
     def point(self) -> Vector:
@@ -418,12 +423,12 @@ def strict_feasibility(c: Matrix) -> Feasibility:
         raise ValueError("strict_feasibility needs at least one row")
     if any(len(row) != len(c[0]) for row in c):
         raise ValueError("row arity does not match the system")
+    mult, rows = _cleared(c)
     grown = _Growing(len(c[0]))
-    if not all(grown.add(row, ">=", ONE) for row in c):
+    if not all(grown.add([-x for x in row], -mult) for row in rows):
         return Feasibility(feasible=False)
     witness = grown.point()
     _, (ints,) = _cleared([witness])
-    _, rows = _cleared(c)
     if not all(sum(map(mul, row, ints)) > 0 for row in rows):
         raise Discrepancy("the strict-feasibility witness fails a row")
     return Feasibility(feasible=True, witness=witness)

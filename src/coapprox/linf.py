@@ -20,9 +20,10 @@ convention for coordinate functionals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionOutOfRange
-from .linalg import Vector, add, is_zero, neg, strict_feasibility, sub
+from .linalg import Vector, _cleared, neg, strict_feasibility
 from .subspaces import require_proper, subspace
 
 
@@ -49,6 +50,11 @@ class ComponentTable:
     def associated(self, i: int) -> frozenset[int]:
         """P_i^+ union P_i^-: all coordinates tied to i up to sign."""
         return self.p_plus[i - 1] | self.p_minus[i - 1]
+
+    @cached_property
+    def _ints(self) -> tuple[int, list[list[int]]]:
+        """The components cleared to integers by one common multiplier."""
+        return _cleared(self.components)
 
 
 def component_table(a_rows) -> ComponentTable:
@@ -81,6 +87,8 @@ def star_property(a_rows, i: int) -> StarResult:
     coordinate is associated to i the system degenerates to that single row,
     so a zero component fails and any other component holds.
     """
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise TypeError(f"coordinate {i!r} is not an int")
     table = component_table(a_rows)
     if not 1 <= i <= table.n:
         raise DimensionOutOfRange(f"coordinate {i} outside 1..{table.n}")
@@ -88,19 +96,18 @@ def star_property(a_rows, i: int) -> StarResult:
 
 
 def _star(table: ComponentTable, i: int) -> StarResult:
-    ci = table.component(i)
-    if is_zero(ci):
+    mult, comps = table._ints
+    ci = comps[i - 1]
+    if not any(ci):
         return StarResult(holds=False)
     rows = [ci]
-    for j in range(1, table.n + 1):
-        if j in table.associated(i):
-            continue
-        cj = table.component(j)
-        rows.append(sub(ci, cj))
-        rows.append(add(ci, cj))
-    feas = strict_feasibility(tuple(rows))
+    for j, cj in enumerate(comps, 1):
+        if j not in table.associated(i):
+            rows += [[a - b for a, b in zip(ci, cj)], [a + b for a, b in zip(ci, cj)]]
+    feas = strict_feasibility(rows)
     if feas.feasible:
-        return StarResult(holds=True, witness=feas.witness)
+        # mult * beta solves the rational rows with margin 1 as beta does these
+        return StarResult(holds=True, witness=tuple(mult * x for x in feas.witness))
     return StarResult(holds=False)
 
 

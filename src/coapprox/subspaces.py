@@ -177,6 +177,11 @@ class InducedBall:
         return tuple(classes)
 
     @cached_property
+    def _facet_ints(self) -> tuple[int, list[list[int]]]:
+        """The facet rows cleared to integers by one common multiplier."""
+        return _cleared(self.facet_rows)
+
+    @cached_property
     def faces(self) -> tuple[FaceData, ...]:
         """All proper faces of B_Y with their dual faces (computed lazily)."""
         m = len(self.subspace.basis)

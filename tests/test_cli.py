@@ -14,6 +14,7 @@ import pytest
 import coapprox as ca
 import coapprox.classification
 import coapprox.coapproximation
+import coapprox.linf
 import coapprox.cli as cli
 
 from conftest import prism_vertices
@@ -149,6 +150,22 @@ class TestHappyPaths:
         assert code == 0
         assert [entry["i"] for entry in out["components"]] == [1, 2, 3]
         assert all(entry["holds"] for entry in out["components"])
+
+    def test_star_property_builds_one_table(self, capsys, monkeypatch):
+        calls, real = [], coapprox.linf.subspace
+
+        def spy(rows):
+            calls.append(rows)
+            return real(rows)
+
+        basis = [[1, 1, 2, 5], [2, 2, 1, 1]]
+        want = [ca.star_property(basis, i) for i in range(1, 5)]
+        monkeypatch.setattr(coapprox.linf, "subspace", spy)
+        code, out = run(capsys, "star-property", "--basis", json.dumps(basis))
+        assert code == 0 and len(calls) == 1
+        assert [(e["holds"], e.get("witness")) for e in out["components"]] == [
+            (r.holds, r.witness and [str(x) for x in r.witness]) for r in want
+        ]
 
     def test_norming_set(self, capsys):
         code, out = run(capsys, "norming-set", "--basis", L1_ROWS)

@@ -7,9 +7,10 @@ vanish lets a failed invariant answer silently, so checks raise
 ``Discrepancy`` instead.  A space clears its own representations to integers,
 once: no module but ``spaces.py`` calls ``_cleared`` on a ``.dual_extreme``
 or ``.vertices`` attribute.  There is one pivot kernel: no module but
-``linalg.py`` calls ``_eliminate``, ``_run_simplex`` or ``_cost_row``, and
-one phase one: inside it, only the growing system's ``add`` and the second
-phase of ``lp_solve`` run the simplex.  Strict systems and search trees grow
+``linalg.py`` calls ``_eliminate``, ``_run_simplex`` or ``_pivot``; inside
+it only ``_reduce`` eliminates, only the simplex and the growing system's
+``add`` pivot the tableau, and there is one phase one: only that ``add`` and
+the second phase of ``lp_solve`` run the simplex.  Strict systems and search trees grow
 that system directly, so only the lambda oracle of orthogonality calls
 ``lp_solve``.
 """
@@ -80,7 +81,7 @@ def test_the_clearing_lint_sees_each_call(tmp_path):
     ]
 
 
-KERNEL = ("_eliminate", "_run_simplex", "_cost_row")
+KERNEL = ("_eliminate", "_run_simplex", "_pivot")
 
 
 def _kernel_calls(path):
@@ -103,11 +104,11 @@ def test_the_kernel_lint_sees_each_call(tmp_path):
     bad.write_text(
         "d = _eliminate(rows, 0, 1, d)\n"
         "status, d = linalg._run_simplex(rows, basis, d)\n"
-        "cost = la._cost_row(rows, basis, cost, d)\n"
+        "p = la._pivot(rows, 0, 1, d)\n"
         "e = eliminate(rows)\n"
     )
     assert [v.split(": ", 1)[1] for v in _kernel_calls(bad)] == [
-        "calls _eliminate", "calls _run_simplex", "calls _cost_row",
+        "calls _eliminate", "calls _run_simplex", "calls _pivot",
     ]
 
 
@@ -134,6 +135,29 @@ def _simplex_callers(path):
 
 def test_one_phase_one():
     assert _simplex_callers(PACKAGE / "linalg.py") == ["_Growing.add", "lp_solve"]
+
+
+def test_one_elimination_and_one_pivot():
+    # _eliminate serves ranks and linear systems, _pivot the condensed tableau
+    linalg = PACKAGE / "linalg.py"
+    assert _callers(linalg, "_eliminate") == ["_reduce"]
+    assert _callers(linalg, "_pivot") == ["_Growing.add", "_run_simplex"]
+
+
+def test_the_pivot_lint_names_each_caller(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def _reduce(rows):\n"
+        "    return _eliminate(rows, 0, 0, 1)\n"
+        "def lp_solve(rows):\n"
+        "    d = la._eliminate(rows, 0, 0, 1)\n"
+        "    return _pivot(rows, 0, 0, d)\n"
+        "class _Growing:\n"
+        "    def add(self):\n"
+        "        return _pivot(self.rows, 0, 0, 1)\n"
+    )
+    assert _callers(bad, "_eliminate") == ["_reduce", "lp_solve"]
+    assert _callers(bad, "_pivot") == ["_Growing.add", "lp_solve"]
 
 
 def test_the_phase_one_lint_names_each_caller(tmp_path):

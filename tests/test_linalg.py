@@ -441,16 +441,19 @@ class TestIntegerSimplex:
 
     def test_every_tableau_row_holds_only_ints(self, monkeypatch):
         seen = []
-        real = coapprox.linalg._eliminate
 
-        def spy(rows, r, col, prev):
-            p = real(rows, r, col, prev)
-            seen.append(len(rows))
-            assert type(prev) is int and type(p) is int and p != 0
-            assert all(type(x) is int for row in rows for x in row)
-            return p
+        def spying(real):
+            def spy(rows, r, col, prev):
+                p = real(rows, r, col, prev)
+                seen.append(len(rows))
+                assert type(prev) is int and type(p) is int and p != 0
+                assert all(type(x) is int for row in rows for x in row)
+                return p
 
-        monkeypatch.setattr(coapprox.linalg, "_eliminate", spy)
+            return spy
+
+        for name in ("_eliminate", "_pivot"):
+            monkeypatch.setattr(coapprox.linalg, name, spying(getattr(coapprox.linalg, name)))
         rng = seeded(59)
         for _ in range(300):
             _agrees_with_the_oracle(*_random_lp(rng))
@@ -646,7 +649,7 @@ class TestGrowingSystem:
     """
 
     def test_agrees_with_the_fraction_simplex_on_every_prefix(self, monkeypatch):
-        monkeypatch.setattr(coapprox.linalg, "_eliminate", _exact_eliminate)
+        monkeypatch.setattr(coapprox.linalg, "_pivot", _exact_pivot)
         rng = seeded(263)
         kinds, answers = set(), []
         for _ in range(2000):
@@ -668,38 +671,57 @@ class TestGrowingSystem:
 
     def test_a_refused_row_leaves_the_system_as_it_was(self):
         grown = coapprox.linalg._Growing(2)
-        assert grown.add((ONE, ZERO), ">=", ONE)
+        assert grown.add((-1, 0), -1)  # x1 >= 1
         state = (list(grown.rows), list(grown.basis), grown.d)
-        assert not grown.add((ONE, ZERO), "<=", ZERO)
+        assert not grown.add((1, 0), 0)
         assert (grown.rows, grown.basis, grown.d) == state
-        assert grown.add((ONE, ONE), "<=", F(3, 2))
-        assert not grown.add((ZERO, ONE), ">=", ONE)
-        with pytest.raises(ValueError):
-            grown.add((ONE, ONE), "==", ONE)
+        assert grown.add((2, 2), 3)  # x1 + x2 <= 3/2
+        assert not grown.add((0, -1), -1)  # x2 >= 1
+        with pytest.raises(TypeError):
+            grown.add((ONE, ONE), ONE)
 
     def test_a_row_of_another_length_is_refused(self):
         grown = coapprox.linalg._Growing(2)
-        for coeffs in ((ONE,), (ONE, ONE, ONE)):
+        for coeffs in ((1,), (1, 1, 1)):
             with pytest.raises(ValueError, match="arity"):
-                grown.add(coeffs, "<=", ONE)
+                grown.add(coeffs, 1)
         assert (grown.rows, grown.basis, grown.d) == ([], [], 1)
 
+    @pytest.mark.parametrize(
+        "ints, b",
+        [
+            ((F(1), 0), 1), ((F(1, 2), 0), 1), ((1, 0), F(1)),
+            ((1, 0.5), 1), ((True, 0), 1), ((1, 0), False),
+        ],
+    )
+    def test_a_row_that_is_not_all_ints_is_refused(self, ints, b):
+        # // on a Fraction would truncate silently; the guard raises rather
+        # than asserts (the exactness lint keeps asserts out), so python -O keeps it
+        grown = coapprox.linalg._Growing(2)
+        assert grown.add((-1, 0), -1)
+        state = (list(grown.rows), list(grown.basis), list(grown.cols), grown.d)
+        with pytest.raises(TypeError, match="int entries"):
+            grown.add(ints, b)
+        assert (grown.rows, grown.basis, grown.cols, grown.d) == state
 
-def _exact_eliminate(rows, r, col, prev):
-    """The Bareiss step of linalg, refusing any division that leaves a remainder."""
+
+def _exact_pivot(rows, r, s, prev):
+    """The condensed Bareiss step of linalg, refusing any division that leaves a remainder."""
     top = rows[r]
-    p = top[col]
+    p = top[s]
     assert type(prev) is int and type(p) is int and p != 0
     for i, row in enumerate(rows):
         if i != r:
-            f = row[col]
+            f = row[s]
             new = []
             for a, b in zip(row, top):
                 q, rest = divmod(p * a - f * b, prev)
                 if rest:
                     raise ArithmeticError("inexact Bareiss division")
                 new.append(q)
+            new[s] = -f
             rows[i] = new
+    rows[r] = [*top[:s], prev, *top[s + 1:]]
     return p
 
 
@@ -732,21 +754,245 @@ def _feasible(system):
     return _fraction_lp_solve(problem).status != "infeasible"
 
 
+def _int_row(row):
+    """A rational row (coeffs, rel, rhs) cleared to the integer "<=" row (ints, b)."""
+    coeffs, rel, rhs = row
+    mult = math.lcm(*(x.denominator for x in (*coeffs, rhs))) * (1 if rel == "<=" else -1)
+    ints = [c.numerator * (mult // c.denominator) for c in coeffs]
+    return ints, rhs.numerator * (mult // rhs.denominator)
+
+
 def _grow_and_compare(grown, accepted, row):
     """Offer ``row``, check the answer and the tableau, and accept the row into ``accepted``."""
-    answer = grown.add(*row)
+    answer = grown.add(*_int_row(row))
     assert answer == _feasible(accepted + [row])
     if answer:
         accepted.append(row)
     nvars, values = grown.nvars, {}
     assert grown.d > 0 and len(grown.rows) == len(grown.basis) == len(accepted)
-    assert all(len(r) == 2 * nvars + len(accepted) + 1 for r in grown.rows)
+    assert all(len(r) == 2 * nvars + 1 for r in grown.rows)
     assert all(r[-1] >= 0 for r in grown.rows)
     for bc, r in zip(grown.basis, grown.rows):
         values[bc] = F(r[-1], grown.d)
     point = tuple(values.get(j, ZERO) - values.get(nvars + j, ZERO) for j in range(nvars))
     assert _satisfies(accepted, point) and grown.point() == point
     return answer
+
+
+class TestCondensedTableau:
+    """The condensed tableau is the former full tableau without its basic columns.
+
+    The former ``_Growing``, with its full [x+ | x- | one slack per row | rhs]
+    tableau, its ``_cost_row`` and its ``_run_simplex``, is kept verbatim
+    below as the oracle.  Both are offered the same integer rows, so they
+    must take the same pivots: after every row the answer, the basis labels
+    and d agree, each condensed row is the oracle's row on the nonbasic
+    columns plus its right-hand side, and each oracle basic column is d
+    times a unit vector.
+    """
+
+    def test_every_row_matches_the_full_tableau(self, monkeypatch):
+        drive_outs, real = [], coapprox.linalg._pivot
+
+        def spy(rows, r, s, d):
+            # only the drive-out of a basic artificial pivots outside _run_simplex
+            drive_outs.append(sys._getframe(1).f_code.co_name == "add")
+            return real(rows, r, s, d)
+
+        monkeypatch.setattr(coapprox.linalg, "_pivot", spy)
+        rng = seeded(271)
+        answers = []
+        for _ in range(2000):
+            nvars = rng.randint(1, 4)
+            grown, full = coapprox.linalg._Growing(nvars), _FullGrowing(nvars)
+            accepted, branches = [], []
+            for _ in range(rng.randint(1, 7)):
+                _, row = _growing_row(rng, nvars, accepted)
+                if rng.random() < 0.2:
+                    branches.append((grown.copy(), full.copy(), list(accepted)))
+                answers.append(_offer_both(grown, full, accepted, row))
+            for twin, full_twin, prefix in branches:
+                _, row = _growing_row(rng, nvars, prefix)
+                _offer_both(twin, full_twin, prefix, row)
+        assert len(answers) >= 5000 and answers.count(False) >= 500
+        assert sum(drive_outs) >= 100 and len(drive_outs) >= 2000
+
+    def test_lp_solve_matches_the_full_tableau(self):
+        rng = seeded(277)
+        statuses = set()
+        for _ in range(5000):
+            problem, sense = _random_lp(rng)
+            res, want = ca.lp_solve(problem, sense), _full_lp_solve(problem, sense)
+            assert (res.status, res.value, res.point) == (want.status, want.value, want.point)
+            statuses.add(res.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def _offer_both(grown, full, accepted, row):
+    """Offer one row to both tableaus and compare them entry by entry."""
+    ints, b = _int_row(row)
+    answer = grown.add(ints, b)
+    assert full.add(*row) == answer
+    if answer:
+        accepted.append(row)
+    assert (grown.basis, grown.d) == (full.basis, full.d)
+    width = 2 * grown.nvars + len(full.rows)
+    assert sorted(grown.cols + grown.basis) == list(range(width))
+    for i, (bc, condensed, r) in enumerate(zip(grown.basis, grown.rows, full.rows)):
+        assert condensed == [r[c] for c in grown.cols] + [r[-1]]
+        assert [x[bc] for x in full.rows] == [grown.d * (k == i) for k in range(len(full.rows))]
+    return answer
+
+
+# The former full-tableau kernel of linalg, verbatim but for its names.
+
+def _full_cost_row(rows: list, basis: list[int], cost: list[int], d: int) -> list[int]:
+    """d times ``cost`` with its basic entries eliminated by their rows.
+
+    For a cost row (0 at the right-hand side) these are the reduced costs; for
+    a new constraint row, its entries in the current basis.
+    """
+    out = [d * c for c in cost]
+    for bc, row in zip(basis, rows):
+        w = cost[bc]
+        if w:
+            out = [o - w * a for o, a in zip(out, row)]
+    return out
+
+
+def _full_run_simplex(tableau: list, basis: list[int], d: int) -> tuple[str, int]:
+    """Minimize over the integer tableau in place; returns the status and the new d.
+
+    Every row holds d times its entries, the cost row last, so a pivot is one
+    ``_eliminate`` step.  Bland's rule both for the entering column (lowest
+    index with negative reduced cost) and for ratio-test ties (lowest basis
+    index), which rules out cycling; ratios are compared cross-multiplied.
+    """
+    while True:
+        cost = tableau[-1]
+        enter = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
+        if enter is None:
+            return "optimal", d
+        leave = None
+        for i, (bc, row) in enumerate(zip(basis, tableau)):
+            a, rhs = row[enter], row[-1]
+            if a > 0 and (leave is None or (rhs * den, bc) < (num * a, basis[leave])):
+                leave, num, den = i, rhs, a
+        if leave is None:
+            return "unbounded", d
+        d = coapprox.linalg._eliminate(tableau, leave, enter, d)
+        basis[leave] = enter
+
+
+def _full_lp_solve(problem, sense: str = "max"):
+    """Exact simplex on one fraction-free integer tableau, grown row by row.
+
+    Free variables are split into positive and negative parts.  Every
+    constraint joins one ``_Growing`` system, an equality as a "<=" and a
+    ">=" row, each bound as a row of its own; a refused row means the problem
+    is infeasible.  Phase two then minimizes the cleared objective on the
+    grown tableau, which holds d times its entries, d > 0 the basis
+    determinant, so Fractions are made only when the point is read off.
+    """
+    if sense not in ("max", "min"):
+        raise ValueError(f"unknown sense {sense!r}")
+    nvars = len(problem.objective)
+    rows = [
+        (c, r, b) for c, rel, b in problem.constraints for r in ("<=", ">=") if rel in (r, "==")
+    ]
+    for j, (lo, hi) in enumerate(problem.bounds or ()):
+        rows += [(unit(nvars, j), r, b) for r, b in ((">=", lo), ("<=", hi)) if b is not None]
+    grown = _FullGrowing(nvars)
+    if not all(grown.add(*row) for row in rows):
+        return ca.LpResult(status="infeasible")
+
+    mult = math.lcm(*(c.denominator for c in problem.objective)) * (1 if sense == "min" else -1)
+    obj = [c.numerator * (mult // c.denominator) for c in problem.objective]
+    cost = [*obj, *(-c for c in obj), *[0] * (len(grown.rows) + 1)]
+    tableau = grown.rows + [_full_cost_row(grown.rows, grown.basis, cost, grown.d)]
+    status, grown.d = _full_run_simplex(tableau, grown.basis, grown.d)
+    if status == "unbounded":
+        return ca.LpResult(status="unbounded")
+    grown.rows = tableau[:-1]
+    point = grown.point()
+    return ca.LpResult(status="optimal", value=dot(problem.objective, point), point=point)
+
+
+class _FullGrowing:
+    """A feasible system of inequalities on free variables, grown one row at a time.
+
+    It keeps one feasible integer tableau: columns [x+ | x- | one slack per
+    row | rhs], every row holding d times its entries, d > 0.  A new row is
+    reduced against the current basis with its slack basic; only when that
+    slack comes out negative does phase one run, on one artificial in that
+    row and from the current basis, so a grown system costs a few pivots.  A
+    row that would make the system infeasible is refused and leaves it as it
+    was.  This is the only phase one: ``lp_solve`` grows its constraints here
+    and runs phase two on them, ``strict_feasibility`` reads its basic point.
+    """
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.rows: list[list[int]] = []
+        self.basis: list[int] = []
+        self.d = 1
+
+    def copy(self):
+        # no row list is changed in place, so the copies may share them
+        twin = _FullGrowing(self.nvars)
+        twin.rows, twin.basis, twin.d = list(self.rows), list(self.basis), self.d
+        return twin
+
+    def add(self, coeffs, rel, rhs) -> bool:
+        """Add <coeffs, x> rel rhs, rel "<=" or ">=", if the system stays feasible."""
+        if rel not in ("<=", ">="):
+            raise ValueError(f"unknown relation {rel!r}")
+        if len(coeffs) != self.nvars:
+            raise ValueError("row arity does not match the system")
+        mult = math.lcm(*(x.denominator for x in (*coeffs, rhs))) * (1 if rel == "<=" else -1)
+        ints = [c.numerator * (mult // c.denominator) for c in coeffs]
+        d, slack = self.d, 2 * self.nvars + len(self.rows)
+        # every old row is 0 in the new slack column, so the row is reduced
+        # without it and takes d there
+        row = [*ints, *(-c for c in ints), *[0] * len(self.rows)]
+        row = _full_cost_row(
+            self.rows, self.basis, [*row, rhs.numerator * (mult // rhs.denominator)], d
+        )
+        if row[-1] >= 0:
+            self.rows = [r[:-1] + [0, r[-1]] for r in self.rows] + [row[:-1] + [d, row[-1]]]
+            self.basis.append(slack)
+            return True
+        # flipped, the row takes one artificial, the column after its slack, basic at d
+        art = slack + 1
+        rows = [r[:-1] + [0, 0, r[-1]] for r in self.rows]
+        rows.append([-x for x in row[:-1]] + [-d, d, -row[-1]])
+        basis = self.basis + [art]
+        cost = [0] * (art + 2)
+        cost[art] = 1
+        rows.append(_full_cost_row(rows, basis, cost, d))
+        status, d = _full_run_simplex(rows, basis, d)
+        if status != "optimal":
+            raise ca.Discrepancy("phase one cannot be unbounded")
+        if rows.pop()[-1] < 0:
+            return False
+        if art in basis:
+            # basic at 0; [A | I] has full row rank, so the row has a nonzero
+            # entry outside the artificial column
+            i = basis.index(art)
+            col = next(j for j in range(art) if rows[i][j] != 0)
+            if rows[i][col] < 0:  # its right-hand side is 0: flip it to keep d > 0
+                rows[i] = [-x for x in rows[i]]
+            d = coapprox.linalg._eliminate(rows, i, col, d)
+            basis[i] = col
+        self.rows = [r[:art] + r[-1:] for r in rows]
+        self.basis, self.d = basis, d
+        return True
+
+    def point(self):
+        """The basic point of the tableau, which satisfies every row."""
+        values = {bc: row[-1] for bc, row in zip(self.basis, self.rows)}
+        n = self.nvars
+        return tuple(F(values.get(j, 0) - values.get(n + j, 0), self.d) for j in range(n))
 
 
 class TestExactDot:

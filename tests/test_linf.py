@@ -79,6 +79,12 @@ class TestStarProperty:
         with pytest.raises(ca.DimensionOutOfRange):
             ca.star_property(NARROW_BASIS, 4)
 
+    @pytest.mark.parametrize("i", [True, False, 1.0, "1", F(1)])
+    def test_the_coordinate_must_be_an_int(self, i):
+        # True once answered for coordinate 1
+        with pytest.raises(TypeError, match="not an int"):
+            ca.star_property(NARROW_BASIS, i)
+
     def test_padded_zero_column_fails_at_the_new_index(self):
         rows = [row + (0,) for row in WIDE_BASIS]
         assert not ca.star_property(rows, 6).holds
