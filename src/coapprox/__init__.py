@@ -7,189 +7,26 @@ specialized fast paths for the max-norm and sum-norm spaces; ``classify``
 picks between those and the generic engine.
 """
 
-from .classification import Classification, classify
-from .coapproximation import (
-    AntiResult,
-    CoapproxResult,
-    StrongResult,
-    bj_orthogonal,
-    bj_orthogonal_lambda_oracle,
-    eps_bj_orthogonal,
-    eps_coapprox_defect,
-    epsilon_value,
-    is_anti_coproximinal,
-    is_best_coapprox,
-    is_strongly_anti_coproximinal,
-    necessary_condition_check,
-    solve_best_coapprox,
-    sufficient_condition_strong,
-)
-from .errors import (
-    BasisMismatch,
-    BudgetExceeded,
-    CoapproxError,
-    DegenerateInput,
-    DegenerateQuery,
-    DependentBasis,
-    DimensionOutOfRange,
-    Discrepancy,
-    NonEmptyZeroSet,
-    PointInSubspace,
-    SpaceTooLarge,
-    UnboundedInput,
-    ZeroVector,
-)
-from .l1 import (
-    L1AntiResult,
-    NormingSet,
-    l1_best_coapprox,
-    l1_is_anti_coproximinal,
-    minimal_norming_set,
-    zero_set,
-)
-from .linalg import (
-    Feasibility,
-    LinearSolution,
-    LpProblem,
-    LpResult,
-    fr,
-    lp,
-    lp_solve,
-    mat,
-    rank,
-    solve_linear,
-    strict_feasibility,
-    vec,
-)
-from .linf import (
-    ComponentTable,
-    LinfClassification,
-    StarResult,
-    component_table,
-    linf_classify,
-    star_property,
-)
-from .polytope import (
-    FaceDescriptor,
-    HRep,
-    VRep,
-    conv_facets,
-    enumerate_faces,
-    face_census,
-    h_rep,
-    h_to_v,
-    v_rep,
-    v_to_h,
-)
-from .spaces import (
-    PolyhedralSpace,
-    SupportSet,
-    is_smooth,
-    make_custom,
-    make_l1,
-    make_linf,
-    norm,
-    support_set,
-)
-from .subspaces import (
-    InducedBall,
-    JYSet,
-    Subspace,
-    coordinates,
-    embed,
-    induced_ball,
-    jy_set,
-    jy_set_via_faces,
-    point_in_subspace,
-    restrict,
-    smooth_dense_in,
-    subspace,
-)
+from .classification import *
+from .coapproximation import *
+from .errors import *
+from .l1 import *
+from .linalg import *
+from .linf import *
+from .polytope import *
+from .spaces import *
+from .subspaces import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntiResult",
-    "BasisMismatch",
-    "BudgetExceeded",
-    "CoapproxError",
-    "Classification",
-    "CoapproxResult",
-    "ComponentTable",
-    "DegenerateInput",
-    "DegenerateQuery",
-    "DependentBasis",
-    "DimensionOutOfRange",
-    "Discrepancy",
-    "FaceDescriptor",
-    "Feasibility",
-    "HRep",
-    "InducedBall",
-    "JYSet",
-    "L1AntiResult",
-    "LinearSolution",
-    "LinfClassification",
-    "LpProblem",
-    "LpResult",
-    "NonEmptyZeroSet",
-    "NormingSet",
-    "PointInSubspace",
-    "PolyhedralSpace",
-    "SpaceTooLarge",
-    "StarResult",
-    "StrongResult",
-    "Subspace",
-    "SupportSet",
-    "UnboundedInput",
-    "VRep",
-    "ZeroVector",
-    "bj_orthogonal",
-    "bj_orthogonal_lambda_oracle",
-    "classify",
-    "component_table",
-    "conv_facets",
-    "coordinates",
-    "embed",
-    "enumerate_faces",
-    "eps_bj_orthogonal",
-    "eps_coapprox_defect",
-    "epsilon_value",
-    "face_census",
-    "fr",
-    "h_rep",
-    "h_to_v",
-    "induced_ball",
-    "is_anti_coproximinal",
-    "is_best_coapprox",
-    "is_smooth",
-    "is_strongly_anti_coproximinal",
-    "jy_set",
-    "jy_set_via_faces",
-    "l1_best_coapprox",
-    "l1_is_anti_coproximinal",
-    "linf_classify",
-    "lp",
-    "lp_solve",
-    "make_custom",
-    "make_l1",
-    "make_linf",
-    "mat",
-    "minimal_norming_set",
-    "necessary_condition_check",
-    "norm",
-    "point_in_subspace",
-    "rank",
-    "restrict",
-    "smooth_dense_in",
-    "solve_best_coapprox",
-    "solve_linear",
-    "star_property",
-    "strict_feasibility",
-    "subspace",
-    "sufficient_condition_strong",
-    "support_set",
-    "v_rep",
-    "v_to_h",
-    "vec",
-    "zero_set",
+    *classification.__all__,
+    *coapproximation.__all__,
+    *errors.__all__,
+    *l1.__all__,
+    *linalg.__all__,
+    *linf.__all__,
+    *polytope.__all__,
+    *spaces.__all__,
+    *subspaces.__all__,
 ]

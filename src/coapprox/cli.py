@@ -375,16 +375,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="coapprox",
         description="Exact decisions about best coapproximations in polyhedral normed spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--space", help='space spec JSON, e.g. {"type":"linf","n":3}')
-        p.add_argument("--basis", help="subspace basis rows as a JSON array")
-        p.add_argument("--point", action="append", help="point as a JSON array (repeatable)")
-        p.add_argument("--y0", help="candidate point of the subspace as a JSON array")
-        p.add_argument("--epsilon", help='rational in [0,1), e.g. "1/2"')
-        p.add_argument("--verify", action="store_true", help="cross-check against a second route")
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--space", help='space spec JSON, e.g. {"type":"linf","n":3}')
+    parser.add_argument("--basis", help="subspace basis rows as a JSON array")
+    parser.add_argument("--point", action="append", help="point as a JSON array (repeatable)")
+    parser.add_argument("--y0", help="candidate point of the subspace as a JSON array")
+    parser.add_argument("--epsilon", help='rational in [0,1), e.g. "1/2"')
+    parser.add_argument("--verify", action="store_true", help="cross-check against a second route")
+    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
     return parser
 
 

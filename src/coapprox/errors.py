@@ -63,3 +63,20 @@ class BudgetExceeded(RuntimeError):
         super().__init__(
             f"search requires at least {required} tried branches, budget is {budget}"
         )
+
+
+__all__ = [
+    "BasisMismatch",
+    "BudgetExceeded",
+    "CoapproxError",
+    "DegenerateInput",
+    "DegenerateQuery",
+    "DependentBasis",
+    "DimensionOutOfRange",
+    "Discrepancy",
+    "NonEmptyZeroSet",
+    "PointInSubspace",
+    "SpaceTooLarge",
+    "UnboundedInput",
+    "ZeroVector",
+]

@@ -182,7 +182,6 @@ def l1_best_coapprox(a_rows, b) -> CoapproxResult:
 __all__ = [
     "L1AntiResult",
     "NormingSet",
-    "cell_bound",
     "l1_best_coapprox",
     "l1_is_anti_coproximinal",
     "minimal_norming_set",

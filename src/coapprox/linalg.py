@@ -2,9 +2,9 @@
 
 Vectors are tuples of ``fractions.Fraction``, matrices are tuples of such
 tuples.  Everything in this module is pure and tolerance-free: one
-fraction-free (Bareiss) pivot step on rows cleared to integers drives the
-Gauss-Jordan elimination behind ranks and linear systems, and the same step on
-a condensed tableau (nonbasic columns only) the simplex, with Bland's rule, so
+fraction-free (Bareiss) pivot step, ``_pivot``, on a condensed tableau of
+integer rows (nonbasic columns only) drives both the Gauss-Jordan elimination
+behind ranks and linear systems and the simplex, with Bland's rule, so
 termination and exactness are guaranteed.  One phase one grows a system of
 integer rows on one tableau; a strict system is read off its basic point, and
 a linear program is optimized on it.
@@ -118,14 +118,21 @@ def _cleared(vectors) -> tuple[int, list[list[int]]]:
     return mult, [[x.numerator * (mult // x.denominator) for x in v] for v in vectors]
 
 
-def _eliminate(rows: list, r: int, col: int, prev: int) -> int:
-    """One Bareiss step on the integer rows[r][col], in place; returns the pivot p."""
-    top = rows[r]
-    p = top[col]
+def _pivot(rows: list, r: int, s: int, d: int) -> int:
+    """One Bareiss step on the nonbasic columns, in place: rows[r][s] = p enters; returns p.
+
+    Every other row gets (p*a - f*b) // d, f its entry in column s, and the
+    pivot row is kept; each entry stays a minor of the cleared rows, so the
+    division is exact.  Column s then holds the leaving variable, whose full
+    column was d times a unit vector: -f in each row i != r and d in row r.
+    """
+    top, p = rows[r], rows[r][s]
     for i, row in enumerate(rows):
         if i != r:
-            f = row[col]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            f = row[s]
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
+            rows[i][s] = -f
+    rows[r] = [*top[:s], d, *top[s + 1:]]
     return p
 
 
@@ -134,11 +141,11 @@ def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
 
     Each row is first cleared to integers (row scaling changes neither the
     row space nor the solutions), then pivots are taken left to right in the
-    first ``ncols`` columns.  The Bareiss update (p*a - f*b) // prev reaches
-    every row but the pivot row and every entry, a right-hand side too; each
-    entry stays a minor of the cleared rows, so the division is exact.  On
-    return each pivot row holds d at its own pivot column and 0 at every
-    other, so the rows divided by d are the reduced row echelon form.
+    first ``ncols`` columns, each one ``_pivot`` step: the rows are a
+    condensed tableau whose basic columns, the rows' own slacks, are not
+    stored.  Every column but the pivot columns, a right-hand side too, gets
+    the Bareiss update, so on return those columns hold d times the reduced
+    row echelon form; each pivot column holds the slack it swapped out.
     """
     for i, row in enumerate(rows):
         _, (rows[i],) = _cleared([row])
@@ -150,7 +157,7 @@ def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        prev = _eliminate(rows, r, col, prev)
+        prev = _pivot(rows, r, col, prev)
         pivots.append(col)
         if len(pivots) == len(rows):
             break
@@ -254,22 +261,6 @@ class LpResult:
     point: Vector | None = None
 
 
-def _pivot(rows: list, r: int, s: int, d: int) -> int:
-    """``_eliminate`` on the nonbasic columns, in place: rows[r][s] = p enters; returns p.
-
-    Column s then holds the leaving variable, whose full column was d times a
-    unit vector: -f in each row i != r, f its old entry, and d in row r.
-    """
-    top, p = rows[r], rows[r][s]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[s]
-            rows[i] = [(p * a - f * b) // d for a, b in zip(row, top)]
-            rows[i][s] = -f
-    rows[r] = [*top[:s], d, *top[s + 1:]]
-    return p
-
-
 def _run_simplex(tableau: list, basis: list[int], cols: list[int], d: int) -> tuple[str, int]:
     """Minimize over the condensed tableau in place; returns the status and the new d.
 
@@ -277,7 +268,11 @@ def _run_simplex(tableau: list, basis: list[int], cols: list[int], d: int) -> tu
     ``_pivot`` step and a swap of labels.  Bland's rule both for the entering
     column (lowest label with negative reduced cost) and for ratio-test ties
     (lowest basis label) rules out cycling; ratios are compared cross-multiplied.
+    Under that rule the objective never rises (the cost row's right-hand side
+    is -d times it) and no basis comes back, so a pivot that breaks either
+    invariant raises ``Discrepancy`` instead of letting the loop run on.
     """
+    seen = {frozenset(basis)}
     while True:
         cost = tableau[-1]
         negative = [c for c, w in zip(cols, cost) if w < 0]
@@ -291,8 +286,15 @@ def _run_simplex(tableau: list, basis: list[int], cols: list[int], d: int) -> tu
                 leave, num, den = i, rhs, a
         if leave is None:
             return "unbounded", d
+        was, prev = cost[-1], d
         d = _pivot(tableau, leave, s, d)
         basis[leave], cols[s] = cols[s], basis[leave]
+        if tableau[-1][-1] * prev < was * d:
+            raise Discrepancy("a simplex pivot raised the objective")
+        now = frozenset(basis)
+        if now in seen:
+            raise Discrepancy("a simplex basis came back")
+        seen.add(now)
 
 
 def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
@@ -446,3 +448,19 @@ def affine_rank(points) -> int:
 def canonical_sorted(vectors) -> tuple[Vector, ...]:
     """Deterministic ordering for sets of rational vectors."""
     return tuple(sorted(vectors))
+
+
+__all__ = [
+    "Feasibility",
+    "LinearSolution",
+    "LpProblem",
+    "LpResult",
+    "fr",
+    "lp",
+    "lp_solve",
+    "mat",
+    "rank",
+    "solve_linear",
+    "strict_feasibility",
+    "vec",
+]

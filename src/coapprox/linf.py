@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionOutOfRange
-from .linalg import Vector, _cleared, neg, strict_feasibility
+from .linalg import Vector, _cleared, strict_feasibility
 from .subspaces import require_proper, subspace
 
 
@@ -61,11 +61,16 @@ def component_table(a_rows) -> ComponentTable:
     """Components and associated sets of an independent family in max norm."""
     basis = subspace(a_rows).basis
     comps = tuple(zip(*basis, strict=True))
-
-    def tied(targets) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(j + 1 for j, cj in enumerate(comps) if cj == t) for t in targets)
-
-    return ComponentTable(components=comps, p_plus=tied(comps), p_minus=tied(map(neg, comps)))
+    # one common multiplier keeps equality and negation of the cleared components
+    keys = [tuple(c) for c in _cleared(comps)[1]]
+    tied: dict[tuple[int, ...], set[int]] = {}
+    for j, key in enumerate(keys, 1):
+        tied.setdefault(key, set()).add(j)
+    return ComponentTable(
+        components=comps,
+        p_plus=tuple(frozenset(tied[key]) for key in keys),
+        p_minus=tuple(frozenset(tied.get(tuple(-x for x in key), ())) for key in keys),
+    )
 
 
 @dataclass(frozen=True)

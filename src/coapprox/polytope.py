@@ -304,11 +304,9 @@ __all__ = [
     "VRep",
     "conv_facets",
     "enumerate_faces",
-    "extreme_subset",
     "face_census",
     "h_rep",
     "h_to_v",
-    "symmetric_ball",
     "v_rep",
     "v_to_h",
 ]

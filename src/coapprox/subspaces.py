@@ -308,7 +308,6 @@ def require_proper(m: int, n: int) -> None:
 
 
 __all__ = [
-    "FaceData",
     "InducedBall",
     "JYSet",
     "Subspace",
@@ -318,8 +317,6 @@ __all__ = [
     "jy_set",
     "jy_set_via_faces",
     "point_in_subspace",
-    "require_coordinates",
-    "require_proper",
     "restrict",
     "smooth_dense_in",
     "subspace",

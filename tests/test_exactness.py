@@ -7,9 +7,9 @@ vanish lets a failed invariant answer silently, so checks raise
 ``Discrepancy`` instead.  A space clears its own representations to integers,
 once: no module but ``spaces.py`` calls ``_cleared`` on a ``.dual_extreme``
 or ``.vertices`` attribute.  There is one pivot kernel: no module but
-``linalg.py`` calls ``_eliminate``, ``_run_simplex`` or ``_pivot``; inside
-it only ``_reduce`` eliminates, only the simplex and the growing system's
-``add`` pivot the tableau, and there is one phase one: only that ``add`` and
+``linalg.py`` calls ``_run_simplex`` or ``_pivot``; inside it the one
+Bareiss step ``_pivot`` serves ``_reduce``'s elimination, the simplex and the
+growing system's ``add``, and there is one phase one: only that ``add`` and
 the second phase of ``lp_solve`` run the simplex.  Strict systems and search trees grow
 that system directly, so only the lambda oracle of orthogonality calls
 ``lp_solve``.
@@ -81,7 +81,7 @@ def test_the_clearing_lint_sees_each_call(tmp_path):
     ]
 
 
-KERNEL = ("_eliminate", "_run_simplex", "_pivot")
+KERNEL = ("_run_simplex", "_pivot")
 
 
 def _kernel_calls(path):
@@ -102,13 +102,12 @@ def test_only_linalg_pivots():
 def test_the_kernel_lint_sees_each_call(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
-        "d = _eliminate(rows, 0, 1, d)\n"
         "status, d = linalg._run_simplex(rows, basis, d)\n"
         "p = la._pivot(rows, 0, 1, d)\n"
-        "e = eliminate(rows)\n"
+        "e = pivot(rows)\n"
     )
     assert [v.split(": ", 1)[1] for v in _kernel_calls(bad)] == [
-        "calls _eliminate", "calls _run_simplex", "calls _pivot",
+        "calls _run_simplex", "calls _pivot",
     ]
 
 
@@ -137,27 +136,34 @@ def test_one_phase_one():
     assert _simplex_callers(PACKAGE / "linalg.py") == ["_Growing.add", "lp_solve"]
 
 
+def _defined(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
 def test_one_elimination_and_one_pivot():
-    # _eliminate serves ranks and linear systems, _pivot the condensed tableau
+    # _pivot serves ranks and linear systems through _reduce, and the condensed tableau
+    assert [path.name for path in PACKAGE.rglob("*.py") if "_eliminate" in _defined(path)] == []
     linalg = PACKAGE / "linalg.py"
-    assert _callers(linalg, "_eliminate") == ["_reduce"]
-    assert _callers(linalg, "_pivot") == ["_Growing.add", "_run_simplex"]
+    assert _callers(linalg, "_pivot") == ["_Growing.add", "_reduce", "_run_simplex"]
 
 
 def test_the_pivot_lint_names_each_caller(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "def _reduce(rows):\n"
-        "    return _eliminate(rows, 0, 0, 1)\n"
+        "    return _pivot(rows, 0, 0, 1)\n"
         "def lp_solve(rows):\n"
-        "    d = la._eliminate(rows, 0, 0, 1)\n"
+        "    d = la._pivot(rows, 0, 0, 1)\n"
         "    return _pivot(rows, 0, 0, d)\n"
         "class _Growing:\n"
         "    def add(self):\n"
         "        return _pivot(self.rows, 0, 0, 1)\n"
+        "def _eliminate(rows):\n"
+        "    pass\n"
     )
-    assert _callers(bad, "_eliminate") == ["_reduce", "lp_solve"]
-    assert _callers(bad, "_pivot") == ["_Growing.add", "lp_solve"]
+    assert _callers(bad, "_pivot") == ["_Growing.add", "_reduce", "lp_solve", "lp_solve"]
+    assert "_eliminate" in _defined(bad)
 
 
 def test_the_phase_one_lint_names_each_caller(tmp_path):

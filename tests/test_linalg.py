@@ -192,14 +192,13 @@ class TestOneElimination:
             "deficient", "zero row", "zero column",
         }
 
-    def test_pivot_value_is_shared_by_every_pivot_row(self):
+    def test_right_hand_side_holds_d_times_the_solution(self):
+        # the pivot columns hold the swapped-out slacks; the rhs over d is the solution
         rows = [[F(2), F(1), F(-1), F(8)], [F(-3), F(-1), F(2), F(-11)], [F(-2), F(1), F(2), F(-3)]]
         pivots, d = coapprox.linalg._reduce(rows, 3)
         assert pivots == [0, 1, 2]
         assert all(type(x) is int for row in rows for x in row)
-        assert [[F(x, d) for x in row] for row in rows] == [
-            [1, 0, 0, 2], [0, 1, 0, 3], [0, 0, 1, -1]
-        ]
+        assert [F(row[3], d) for row in rows] == [2, 3, -1]
 
 
 def _random_system(rng):
@@ -452,12 +451,66 @@ class TestIntegerSimplex:
 
             return spy
 
-        for name in ("_eliminate", "_pivot"):
-            monkeypatch.setattr(coapprox.linalg, name, spying(getattr(coapprox.linalg, name)))
+        monkeypatch.setattr(coapprox.linalg, "_pivot", spying(coapprox.linalg._pivot))
         rng = seeded(59)
         for _ in range(300):
             _agrees_with_the_oracle(*_random_lp(rng))
         assert len(seen) > 300
+
+    def test_a_sign_flip_in_the_pivot_fails_fast(self):
+        # _pivot writing f instead of -f into column s once made the simplex
+        # run forever; its invariant checks turn that into a Discrepancy, and
+        # the timeout fails the suite rather than stalling it should one regress
+        here = str(Path(__file__).resolve().parent)
+        src = str(Path(ca.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, here, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIGN_FLIP_SCRIPT],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        mutated, beale, caught, total = proc.stdout.split()
+        assert (mutated, beale) == ("True", "Discrepancy")
+        assert 0 < int(caught) <= int(total) == 300
+
+
+_SIGN_FLIP_SCRIPT = """
+import inspect
+
+import coapprox as ca
+import coapprox.linalg as la
+from conftest import seeded
+from test_linalg import _random_lp
+
+source = inspect.getsource(la._pivot)
+print("rows[i][s] = -f" in source)
+exec(source.replace("rows[i][s] = -f", "rows[i][s] = f"), vars(la))
+F = ca.fr
+beale = ca.lp(
+    (F("-3/4"), 20, F("-1/2"), 6),
+    (
+        ((F("1/4"), -8, -1, 9), "<=", 0),
+        ((F("1/2"), -12, F("-1/2"), 3), "<=", 0),
+        ((0, 0, 1, 0), "<=", 1),
+    ),
+    bounds=((0, None),) * 4,
+)
+try:
+    ca.lp_solve(beale, "min")
+except ca.Discrepancy:
+    print("Discrepancy")
+else:
+    print("answered")
+rng, caught = seeded(53), 0
+for _ in range(300):
+    try:
+        ca.lp_solve(*_random_lp(rng))
+    except ca.Discrepancy:
+        caught += 1
+print(caught, 300)
+"""
 
 
 def _agrees_with_the_oracle(problem, sense):
@@ -783,8 +836,8 @@ class TestCondensedTableau:
     """The condensed tableau is the former full tableau without its basic columns.
 
     The former ``_Growing``, with its full [x+ | x- | one slack per row | rhs]
-    tableau, its ``_cost_row`` and its ``_run_simplex``, is kept verbatim
-    below as the oracle.  Both are offered the same integer rows, so they
+    tableau, its ``_cost_row``, its ``_run_simplex`` and the full-row Bareiss
+    step ``_eliminate`` they pivot with, is kept verbatim below as the oracle.  Both are offered the same integer rows, so they
     must take the same pivots: after every row the answer, the basis labels
     and d agree, each condensed row is the oracle's row on the nonbasic
     columns plus its right-hand side, and each oracle basic column is d
@@ -860,6 +913,17 @@ def _full_cost_row(rows: list, basis: list[int], cost: list[int], d: int) -> lis
     return out
 
 
+def _eliminate(rows: list, r: int, col: int, prev: int) -> int:
+    """One Bareiss step on the integer rows[r][col], in place; returns the pivot p."""
+    top = rows[r]
+    p = top[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
 def _full_run_simplex(tableau: list, basis: list[int], d: int) -> tuple[str, int]:
     """Minimize over the integer tableau in place; returns the status and the new d.
 
@@ -880,7 +944,7 @@ def _full_run_simplex(tableau: list, basis: list[int], d: int) -> tuple[str, int
                 leave, num, den = i, rhs, a
         if leave is None:
             return "unbounded", d
-        d = coapprox.linalg._eliminate(tableau, leave, enter, d)
+        d = _eliminate(tableau, leave, enter, d)
         basis[leave] = enter
 
 
@@ -982,7 +1046,7 @@ class _FullGrowing:
             col = next(j for j in range(art) if rows[i][j] != 0)
             if rows[i][col] < 0:  # its right-hand side is 0: flip it to keep d > 0
                 rows[i] = [-x for x in rows[i]]
-            d = coapprox.linalg._eliminate(rows, i, col, d)
+            d = _eliminate(rows, i, col, d)
             basis[i] = col
         self.rows = [r[:art] + r[-1:] for r in rows]
         self.basis, self.d = basis, d

@@ -39,17 +39,48 @@ class TestComponentTable:
         assert t.p_minus[0] == frozenset({2})
         assert t.associated(1) == frozenset({1, 2})
 
-    def test_one_negation_per_component(self, monkeypatch):
+    def test_one_clearing_per_table(self, monkeypatch):
         calls = []
-        real = ca.linf.neg
+        real = ca.linf._cleared
 
-        def spy(v):
-            calls.append(v)
-            return real(v)
+        def spy(vectors):
+            calls.append(vectors)
+            return real(vectors)
 
-        monkeypatch.setattr(ca.linf, "neg", spy)
+        monkeypatch.setattr(ca.linf, "_cleared", spy)
         t = ca.component_table(WIDE_BASIS)
-        assert sorted(calls) == sorted(t.components)
+        assert calls == [t.components]
+
+    def test_associated_sets_match_the_pairwise_comparison(self):
+        # the former tied(): every pair of Fraction components compared directly
+        rng = seeded(313)
+        shapes = set()
+        for _ in range(600):
+            n = rng.randint(2, 7)
+            m = rng.randint(1, min(n, 3))
+            rows = [list(row) for row in independent_basis(rng, n, m, -2, 2)]
+            for _ in range(rng.randint(0, 2)):
+                # copy a coordinate, negated or halved at times, so that ties are common
+                i, j, factor = rng.randrange(n), rng.randrange(n), rng.choice((1, -1, F(1, 2)))
+                for row in rows:
+                    row[j] = factor * row[i]
+            if ca.rank(tuple(map(tuple, rows))) < m:
+                continue
+            t = ca.component_table(rows)
+            comps = tuple(zip(*ca.subspace(rows).basis))
+
+            def tied(targets):
+                return tuple(
+                    frozenset(j + 1 for j, cj in enumerate(comps) if cj == c) for c in targets
+                )
+
+            assert t.p_plus == tied(comps)
+            assert t.p_minus == tied(tuple(-x for x in c) for c in comps)
+            shapes.update(
+                ("plus" if len(p) > 1 else "alone", "minus" if q else "none")
+                for p, q in zip(t.p_plus, t.p_minus)
+            )
+        assert shapes == {("plus", "minus"), ("plus", "none"), ("alone", "minus"), ("alone", "none")}
 
     def test_every_index_is_self_associated(self):
         t = ca.component_table(WIDE_BASIS)
