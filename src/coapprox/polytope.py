@@ -5,9 +5,9 @@ space with the origin interior to their hull, it returns the irredundant facet
 functionals f of the hull, normalized as {x : <f, x> <= 1}.  Both conversion
 directions reduce to it through bipolar polarity: the vertices of
 {x : <f, x> <= 1 for all f in H} are exactly the facet functionals of conv(H).
-``extreme_subset`` gets both representations of a ball from one such call:
-one integer incidence pass marks the input points on each facet, and a point
-is kept when the facets through it meet in that point alone.
+A ball gets both representations from one such call: one integer pass marks
+the input points on each facet, and ``extreme_subset`` keeps a point when the
+facets through it meet in that point alone.
 
 ``conv_facets`` homogenizes to the cone {(f, t) : <s, f> <= t, t >= 0} and
 enumerates its extreme rays by the double description method: start from a
@@ -166,35 +166,29 @@ def _incidences(facets, points) -> list[int]:
 
 
 def extreme_subset(
-    points: tuple[Vector, ...],
-) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[tuple[int, ...], ...]]:
-    """One conversion pass: (extreme points among ``points``, facets of their hull, incidences).
+    masks: list[int], count: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Indices of the extreme points among ``count`` distinct points, with the facets through each.
 
-    The minimal face through a boundary point p is the meet of the hull
+    ``masks[j]`` marks the points on facet j of their hull (bit i for point
+    i).  The minimal face through a boundary point p is the meet of the hull
     facets through it, and a face of dimension >= 1 holds at least two
     vertices, all of them input points.  So p is extreme exactly when it lies
-    on some facet and the facets through it share no other input point; one
-    integer incidence pass over the single ``conv_facets`` call yields both
-    representations of the hull.  The third entry lists, for each kept
-    point, the indices of the facets through it.  Read through polarity for
-    the polytope {x : <p, x> <= 1}, the kept points are its irredundant facet
-    rows, the hull facets its vertices and the third entry its facet-vertex
-    incidences.  Points must be distinct; duplicates raise ValueError.
+    on some facet and the facets through it share no other input point.
+    Read through polarity for the polytope {x : <p, x> <= 1}, the kept points
+    are its irredundant facet rows, the hull facets its vertices and the
+    second entry its facet-vertex incidences.
     """
-    if len(set(points)) != len(points):
-        raise ValueError("extreme_subset needs distinct points")
-    facets = conv_facets(points)
-    masks = _incidences(facets, points)
     keep, tight = [], []
-    for i, p in enumerate(points):
+    for i in range(count):
         through = [j for j, mask in enumerate(masks) if mask >> i & 1]
         meet = -1
         for j in through:
             meet &= masks[j]
         if through and meet == 1 << i:
-            keep.append(p)
+            keep.append(i)
             tight.append(tuple(through))
-    return tuple(keep), facets, tuple(tight)
+    return tuple(keep), tuple(tight)
 
 
 def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
@@ -217,13 +211,14 @@ def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
     pointset = set(pts)
     if any(neg(p) not in pointset for p in pts):
         raise DegenerateInput(f"{kind} set is not symmetric under negation")
-    keep, hull, _ = extreme_subset(pts)
+    hull = conv_facets(pts)
+    keep, _ = extreme_subset(_incidences(hull, pts), len(pts))
     if len(keep) < len(pts):
         warnings.warn(
             f"dropped {len(pts) - len(keep)} non-extreme {kind} point(s) from input",
             stacklevel=3,
         )
-    keep = canonical_sorted(keep)
+    keep = canonical_sorted(pts[i] for i in keep)
     if kind == "vertex":
         return VRep(vertices=keep, dim=d), HRep(facets=hull, dim=d)
     return VRep(vertices=hull, dim=d), HRep(facets=keep, dim=d)

@@ -11,14 +11,17 @@ holds on the facets, and a "some y in Y" test once it holds at some vertex;
 the full face lattice (``InducedBall.faces``) is only kept for reference.
 
 A facet of B_Y with row r has D = {g : g restricted to the basis equals r}
-(the facet affinely spans the slab where r is 1).  One integer pass after
-the conversion embeds each vertex, rechecks its norm, records its dual face
-(``InducedBall.vertex_dual``) and builds the norming-functional set of Y
-(``InducedBall.jy``, read by ``jy_set_via_faces``), whose witnesses are the
-embedded centroids of the facets with a singleton dual; the classifiers and
-the CLI answer from it.  ``jy_set`` decides each extreme functional by one
-strict linear system instead and serves as the oracle of ``jy --verify``
-and of the test suite.
+(the facet affinely spans the slab where r is 1).  By polarity the vertices
+of B_Y are the facets of the hull of the distinct restricted rows, and one
+integer product of the vertices with those rows answers the rest: as
+<g, embed(y, v)> = <restrict(y, g), v>, the row maximum at a vertex rechecks
+its norm in X, and the rows equal to 1 there give its dual face
+(``InducedBall.vertex_dual``) and the incidences from which the meet test
+picks the facet rows.  J_Y (``InducedBall.jy``, read by ``jy_set_via_faces``,
+the classifiers and the CLI) takes as witnesses the embedded centroids of
+the facets with a singleton dual.  ``jy_set`` decides each extreme
+functional by one strict linear system instead and serves as the oracle of
+``jy --verify`` and of the test suite.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .linalg import (
     Vector,
     _cleared,
     dot,
-    is_zero,
     mat,
     neg,
     rank,
@@ -46,7 +48,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .polytope import FaceDescriptor, HRep, VRep, enumerate_faces, extreme_subset
+from .polytope import FaceDescriptor, HRep, VRep, conv_facets, enumerate_faces, extreme_subset
 from .spaces import PolyhedralSpace, _checked
 
 
@@ -201,44 +203,43 @@ class InducedBall:
 def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
     """Compute B_Y = B_X /\\ Y in basis coordinates, with its dual faces and J_Y."""
     _check_ambient(space, y)
-    # restrict(y, g) for every g, on cleared integers: Fractions are made
-    # once per distinct restricted row
+    # restrict(y, g) for every g, on cleared integers: key = gm * bm * restrict(y, g)
     gm, functionals = space._functional_ints
     bm, basis = _cleared(y.basis)
     by_key: dict[tuple[int, ...], list[int]] = {}
     for i, g in enumerate(functionals):
         by_key.setdefault(tuple(sum(map(mul, g, b)) for b in basis), []).append(i)
-    by_row = {tuple(Fraction(v, gm * bm) for v in key): dual for key, dual in by_key.items()}
-    distinct = tuple(row for row in by_row if not is_zero(row))
-    # B_Y = {alpha : <row, alpha> <= 1}: its facet rows are the extreme rows,
-    # the facets of their hull are its vertices (polarity), and the hull
-    # facets through a row are the vertices on that facet of B_Y.
-    rows, vertices, tight = extreme_subset(distinct)
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    facet_rows = tuple(rows[k] for k in order)
-    facet_dual = tuple(tuple(by_row.get(row, ())) for row in facet_rows)
-    if not all(facet_dual):
-        raise Discrepancy("every facet row of B_Y restricts from some dual extreme")
-    # each vertex embedded once on cleared integers: ambient[k] is
-    # bm * pm * embed(y, vertices[k]), so g_i is 1 at the vertex exactly
-    # when its integer value there is gm * bm * pm
+    keys = [key for key in by_key if any(key)]
+    rows = [tuple(Fraction(v, gm * bm) for v in key) for key in keys]
+    # B_Y = {alpha : <row, alpha> <= 1}; by polarity its vertices are the
+    # facets of the hull of the rows.  In one integer product, row j is 1 at
+    # vertex k exactly when <coords[k], keys[j]> = one, and the row maximum
+    # is the norm of the embedded vertex: <g, embed(y, v)> = <restrict(y, g), v>
+    vertices = conv_facets(rows)
     pm, coords = _cleared(vertices)
-    cols = list(zip(*basis))
-    ambient = [[sum(map(mul, c, col)) for col in cols] for c in coords]
     one = gm * bm * pm
-    vertex_dual = []
-    for x in ambient:
-        values = [sum(map(mul, g, x)) for g in functionals]
+    masks, vertex_dual = [], []
+    for c in coords:
+        values = [sum(map(mul, c, key)) for key in keys]
         if max(values) != one:
             raise Discrepancy("B_Y vertices lie on the unit sphere of X")
-        vertex_dual.append(tuple(i for i, value in enumerate(values) if value == one))
+        on = [j for j, value in enumerate(values) if value == one]
+        masks.append(sum(1 << j for j in on))
+        vertex_dual.append(tuple(sorted(i for j in on for i in by_key[keys[j]])))
+    # the facet rows of B_Y are the extreme rows, and the vertices through a
+    # row are the vertices on its facet
+    kept, tight = extreme_subset(masks, len(keys))
+    facets = sorted(zip(kept, tight), key=lambda facet: keys[facet[0]])
+    facet_rows = tuple(rows[j] for j, _ in facets)
+    facet_dual = tuple(tuple(by_key[keys[j]]) for j, _ in facets)
     # a facet with singleton dual g lies in the interior of g's facet of B_X,
     # so its vertex centroid, embedded, is a smooth witness for g
     found: dict[int, Vector] = {}
-    for k, dual in zip(order, facet_dual):
+    for (_, on_facet), dual in zip(facets, facet_dual):
         if len(dual) == 1 and dual[0] not in found:
-            total = [sum(col) for col in zip(*(ambient[v] for v in tight[k]))]
-            found[dual[0]] = tuple(Fraction(t, len(tight[k]) * bm * pm) for t in total)
+            total = [sum(col) for col in zip(*(coords[k] for k in on_facet))]
+            ambient = [sum(map(mul, total, col)) for col in zip(*basis)]
+            found[dual[0]] = tuple(Fraction(t, len(on_facet) * bm * pm) for t in ambient)
     return InducedBall(
         space=space,
         subspace=y,

@@ -254,17 +254,11 @@ import coapprox.subspaces as su
 space, y = ca.make_linf(3), ca.subspace([(1, 0, 0), (0, 1, 0)])
 narrow = ca.subspace([(1, 1, 2), (2, 2, 1)])
 centroid, coordinates, is_best_coapprox = co.centroid, co.coordinates, co.is_best_coapprox
-solve_linear, extreme_subset = su.solve_linear, su.extreme_subset
-
-
-def extra_facet_row(points):
-    rows, vertices, tight = extreme_subset(points)
-    return rows + ((7, 7),), vertices, tight + ((),)
+solve_linear, conv_facets = su.solve_linear, su.conv_facets
 
 
 def doubled_vertices(points):
-    rows, vertices, tight = extreme_subset(points)
-    return rows, tuple(tuple(2 * c for c in vert) for vert in vertices), tight
+    return tuple(tuple(2 * c for c in vert) for vert in conv_facets(points))
 
 
 def attempt(label, call):
@@ -290,11 +284,10 @@ attempt("anti-search-outside", lambda: co.is_anti_coproximinal(space, narrow))
 su.solve_linear = lambda a, b: replace(solve_linear(a, b), kind="affine")
 attempt("coordinates", lambda: su.coordinates(y, (1, 2, 0)))
 su.solve_linear = solve_linear
-for label, patched in (("ball-facet-dual", extra_facet_row), ("ball-vertex-norm", doubled_vertices)):
-    su.induced_ball.cache_clear()
-    su.extreme_subset = patched
-    attempt(label, lambda: su.induced_ball(space, y))
-su.extreme_subset = extreme_subset
+su.induced_ball.cache_clear()
+su.conv_facets = doubled_vertices
+attempt("ball-vertex-norm", lambda: su.induced_ball(space, y))
+su.conv_facets = conv_facets
 l1.solve_linear = lambda a, b: replace(solve_linear(a, b), kind="affine")
 attempt("l1-unique", lambda: l1.l1_best_coapprox([(0, 1, 1), (-1, 0, 1)], (0, 1, 1)))
 """
@@ -306,9 +299,9 @@ class TestCertificateRechecks:
         # set, so both classifiers reach their certificate rechecks, and the
         # narrow span is neither, so the anti search's witness is rechecked;
         # under python -O, asserts would let a failed recheck answer silently.
-        # The last four lines corrupt the call that produces a library
-        # invariant (unique coordinates, a dual face per facet of B_Y, unit
-        # vertices of B_Y, a unique sum-norm best coapproximation).
+        # The last three lines corrupt the call that produces a library
+        # invariant (unique coordinates, unit vertices of B_Y, a unique
+        # sum-norm best coapproximation).
         src = str(Path(ca.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))
@@ -326,7 +319,6 @@ class TestCertificateRechecks:
             "strong-outside Discrepancy",
             "anti-search-outside Discrepancy",
             "coordinates Discrepancy",
-            "ball-facet-dual Discrepancy",
             "ball-vertex-norm Discrepancy",
             "l1-unique Discrepancy",
         ]

@@ -12,7 +12,10 @@ Bareiss step ``_pivot`` serves ``_reduce``'s elimination, the simplex and the
 growing system's ``add``, and there is one phase one: only that ``add`` and
 the second phase of ``lp_solve`` run the simplex.  Strict systems and search trees grow
 that system directly, so only the lambda oracle of orthogonality calls
-``lp_solve``.
+``lp_solve``.  An induced ball makes one conversion and one meet test, and
+reads its incidences off its own product of vertices and rows: only the two
+readers of a ball given by points (``symmetric_ball``, ``enumerate_faces``)
+call ``_incidences``.
 """
 
 import ast
@@ -181,17 +184,17 @@ def test_the_phase_one_lint_names_each_caller(tmp_path):
     assert _simplex_callers(bad) == ["Tableau.pivot.inner", "solve", "solve"]
 
 
-def _lp_solve_callers():
+def _package_callers(callee):
     return [
         f"{path.stem}.{owner}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for owner in _callers(path, "lp_solve")
+        for owner in _callers(path, callee)
     ]
 
 
 def test_only_the_lambda_oracle_solves_an_lp():
     # strict systems and search trees grow a _Growing system directly
-    assert _lp_solve_callers() == ["coapproximation.bj_orthogonal_lambda_oracle"]
+    assert _package_callers("lp_solve") == ["coapproximation.bj_orthogonal_lambda_oracle"]
 
 
 def test_the_lp_solve_lint_names_each_caller(tmp_path):
@@ -206,3 +209,29 @@ def test_the_lp_solve_lint_names_each_caller(tmp_path):
         "lp = lp_solve\n"
     )
     assert _callers(bad, "lp_solve") == ["Walk.leaf", "strict"]
+
+
+def test_one_incidence_pass_per_ball():
+    # an induced ball reads its incidences off its own vertex-row product
+    assert _package_callers("_incidences") == [
+        "polytope.enumerate_faces", "polytope.symmetric_ball",
+    ]
+    subspaces = PACKAGE / "subspaces.py"
+    assert _callers(subspaces, "conv_facets") == ["induced_ball"]
+    assert _callers(subspaces, "extreme_subset") == ["induced_ball"]
+
+
+def test_the_incidence_lint_names_each_caller(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def induced_ball(space, y):\n"
+        "    vertices = polytope.conv_facets(rows)\n"
+        "    masks = _incidences(vertices, rows)\n"
+        "    return extreme_subset(masks, len(rows)), conv_facets(vertices)\n"
+        "class InducedBall:\n"
+        "    def faces(self):\n"
+        "        return _incidences(self.facet_rows, self.vertices)\n"
+    )
+    assert _callers(bad, "_incidences") == ["InducedBall.faces", "induced_ball"]
+    assert _callers(bad, "conv_facets") == ["induced_ball", "induced_ball"]
+    assert _callers(bad, "extreme_subset") == ["induced_ball"]

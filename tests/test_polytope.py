@@ -75,6 +75,13 @@ def test_facet_entries_are_fractions():
         assert all(type(x) is Fraction for f in facets for x in f)
 
 
+def _extreme_points(points):
+    """(extreme points, hull facets, facets through each) as ``symmetric_ball`` finds them."""
+    facets = polytope.conv_facets(points)
+    keep, tight = polytope.extreme_subset(polytope._incidences(facets, points), len(points))
+    return tuple(points[i] for i in keep), facets, tight
+
+
 def test_ray_loop_needs_no_fraction_dot(monkeypatch):
     def refuse(*args):
         raise AssertionError("the double description works on integer rays")
@@ -87,7 +94,7 @@ def test_ray_loop_needs_no_fraction_dot(monkeypatch):
         patch.setattr(polytope, "solve_linear", refuse, raising=False)
         assert len(polytope.conv_facets(OCTAHEDRON)) == 8
         assert len(polytope.conv_facets(prism_vertices())) == 8
-    keep, facets, tight = polytope.extreme_subset(tuple(vec(p) for p in OCTAHEDRON))
+    keep, facets, tight = _extreme_points(tuple(vec(p) for p in OCTAHEDRON))
     assert len(keep) == 6 and len(facets) == 8 and all(len(t) == 4 for t in tight)
     v, h = polytope.symmetric_ball(OCTAHEDRON, kind="vertex")
     assert polytope.face_census(v, h) == {0: 6, 1: 12, 2: 8}
@@ -422,18 +429,10 @@ def test_extreme_subset_matches_the_rank_test():
     dropped = 0
     for points in _incidence_sets(rng):
         points = tuple(points)
-        keep, facets, tight = polytope.extreme_subset(points)
+        keep, facets, tight = _extreme_points(points)
         assert (keep, facets) == _oracle_extreme_subset(points)
         assert tight == tuple(
             tuple(j for j, f in enumerate(facets) if dot(f, p) == ONE) for p in keep
         )
         dropped += len(points) - len(keep)
     assert dropped > 100
-
-
-def test_extreme_subset_refuses_duplicate_points():
-    pts = tuple(vec(p) for p in SQUARE)
-    with pytest.raises(ValueError, match="distinct"):
-        polytope.extreme_subset(pts + (pts[0],))
-    with pytest.raises(ValueError, match="distinct"):
-        polytope.extreme_subset(tuple(SQUARE) + (vec(SQUARE[1]),))

@@ -2,13 +2,29 @@
 
 import warnings
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import coapprox as ca
 import coapprox.polytope
-from coapprox.linalg import ONE, canonical_sorted, centroid, dot, is_zero, neg, rank, unit
-from coapprox.polytope import conv_facets
+import coapprox.subspaces
+from coapprox.errors import Discrepancy
+from coapprox.linalg import (
+    ONE,
+    Vector,
+    _cleared,
+    canonical_sorted,
+    centroid,
+    dot,
+    is_zero,
+    neg,
+    rank,
+    unit,
+)
+from coapprox.polytope import _incidences, conv_facets
+from coapprox.spaces import PolyhedralSpace
+from coapprox.subspaces import InducedBall, Subspace, _check_ambient, _jy
 
 from conftest import NARROW_BASIS, independent_basis, prism_vertices, rational_point, seeded
 
@@ -102,7 +118,9 @@ class TestInducedBall:
             calls.append(len(points))
             return conv_facets(points)
 
+        # custom balls look it up in polytope, induced balls in subspaces
         monkeypatch.setattr(coapprox.polytope, "conv_facets", counting)
+        monkeypatch.setattr(coapprox.subspaces, "conv_facets", counting)
         centres = [(0, 0, 1), (0, 0, -1)]  # face centres: not vertices of the prism
         with pytest.warns(UserWarning, match="dropped 2"):
             prism = ca.make_custom(vertices=prism_vertices() + centres)
@@ -284,3 +302,121 @@ def test_induced_ball_matches_the_rank_test_route():
                     i for i, g in enumerate(space.dual_extreme)
                     if all(dot(g, x) == ONE for x in on_face)
                 )
+
+
+# ``induced_ball`` and ``extreme_subset`` before the one integer product,
+# verbatim but for the cache and the module prefixes: three passes find which
+# restricted row is 1 at which vertex (the hull's row incidences, a
+# Fraction-keyed ``by_row`` dict, and an ambient recheck of every vertex
+# against every extreme functional).  Kept as the oracle of the product.
+
+
+def _three_pass_extreme_subset(
+    points: tuple[Vector, ...],
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[tuple[int, ...], ...]]:
+    """One conversion pass: (extreme points among ``points``, facets of their hull, incidences).
+
+    The minimal face through a boundary point p is the meet of the hull
+    facets through it, and a face of dimension >= 1 holds at least two
+    vertices, all of them input points.  So p is extreme exactly when it lies
+    on some facet and the facets through it share no other input point; one
+    integer incidence pass over the single ``conv_facets`` call yields both
+    representations of the hull.  The third entry lists, for each kept
+    point, the indices of the facets through it.  Read through polarity for
+    the polytope {x : <p, x> <= 1}, the kept points are its irredundant facet
+    rows, the hull facets its vertices and the third entry its facet-vertex
+    incidences.  Points must be distinct; duplicates raise ValueError.
+    """
+    if len(set(points)) != len(points):
+        raise ValueError("extreme_subset needs distinct points")
+    facets = conv_facets(points)
+    masks = _incidences(facets, points)
+    keep, tight = [], []
+    for i, p in enumerate(points):
+        through = [j for j, mask in enumerate(masks) if mask >> i & 1]
+        meet = -1
+        for j in through:
+            meet &= masks[j]
+        if through and meet == 1 << i:
+            keep.append(p)
+            tight.append(tuple(through))
+    return tuple(keep), facets, tuple(tight)
+
+
+def _three_pass_induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
+    """Compute B_Y = B_X /\\ Y in basis coordinates, with its dual faces and J_Y."""
+    _check_ambient(space, y)
+    # restrict(y, g) for every g, on cleared integers: Fractions are made
+    # once per distinct restricted row
+    gm, functionals = space._functional_ints
+    bm, basis = _cleared(y.basis)
+    by_key: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(functionals):
+        by_key.setdefault(tuple(sum(map(mul, g, b)) for b in basis), []).append(i)
+    by_row = {tuple(Fraction(v, gm * bm) for v in key): dual for key, dual in by_key.items()}
+    distinct = tuple(row for row in by_row if not is_zero(row))
+    # B_Y = {alpha : <row, alpha> <= 1}: its facet rows are the extreme rows,
+    # the facets of their hull are its vertices (polarity), and the hull
+    # facets through a row are the vertices on that facet of B_Y.
+    rows, vertices, tight = _three_pass_extreme_subset(distinct)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    facet_rows = tuple(rows[k] for k in order)
+    facet_dual = tuple(tuple(by_row.get(row, ())) for row in facet_rows)
+    if not all(facet_dual):
+        raise Discrepancy("every facet row of B_Y restricts from some dual extreme")
+    # each vertex embedded once on cleared integers: ambient[k] is
+    # bm * pm * embed(y, vertices[k]), so g_i is 1 at the vertex exactly
+    # when its integer value there is gm * bm * pm
+    pm, coords = _cleared(vertices)
+    cols = list(zip(*basis))
+    ambient = [[sum(map(mul, c, col)) for col in cols] for c in coords]
+    one = gm * bm * pm
+    vertex_dual = []
+    for x in ambient:
+        values = [sum(map(mul, g, x)) for g in functionals]
+        if max(values) != one:
+            raise Discrepancy("B_Y vertices lie on the unit sphere of X")
+        vertex_dual.append(tuple(i for i, value in enumerate(values) if value == one))
+    # a facet with singleton dual g lies in the interior of g's facet of B_X,
+    # so its vertex centroid, embedded, is a smooth witness for g
+    found: dict[int, Vector] = {}
+    for k, dual in zip(order, facet_dual):
+        if len(dual) == 1 and dual[0] not in found:
+            total = [sum(col) for col in zip(*(ambient[v] for v in tight[k]))]
+            found[dual[0]] = tuple(Fraction(t, len(tight[k]) * bm * pm) for t in total)
+    return InducedBall(
+        space=space,
+        subspace=y,
+        vertices=vertices,
+        facet_rows=facet_rows,
+        facet_dual=facet_dual,
+        vertex_dual=tuple(vertex_dual),
+        jy=_jy(space, found),
+    )
+
+
+def _product_sections(rng):
+    """Both families at n = 3-8 with every m, the prism, a custom ball and a sum-norm 10/3 span."""
+    for n in range(3, 9):
+        for make in (ca.make_linf, ca.make_l1):
+            for m in range(1, n + 1):
+                yield make(n), ca.subspace(independent_basis(rng, n, m, -3, 3))
+    prism = ca.make_custom(vertices=prism_vertices())
+    pts = [rational_point(rng, 4, -3, 3, 2) for _ in range(6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        custom = ca.make_custom(vertices=pts + [neg(p) for p in pts])
+    for space in (prism, custom):
+        for m in range(1, space.dim + 1):
+            yield space, ca.subspace(independent_basis(rng, space.dim, m, -3, 3))
+    yield ca.make_l1(10), ca.subspace(independent_basis(rng, 10, 3, -3, 3))
+
+
+def test_one_integer_product_matches_the_three_pass_ball():
+    rng = seeded(23)
+    sections = 0
+    for space, y in _product_sections(rng):
+        ca.induced_ball.cache_clear()
+        assert repr(ca.induced_ball(space, y)) == repr(_three_pass_induced_ball(space, y))
+        sections += 1
+    assert sections == 2 * sum(range(3, 9)) + 3 + 4 + 1
