@@ -38,7 +38,7 @@ from .coapproximation import (
     is_best_coapprox,
     solve_best_coapprox,
 )
-from .errors import BudgetExceeded, CoapproxError, Discrepancy
+from .errors import BudgetExceeded, CoapproxError, DegenerateQuery, Discrepancy
 from .l1 import l1_best_coapprox, minimal_norming_set, zero_set
 from .linalg import vec
 from .linf import _star, component_table
@@ -52,15 +52,7 @@ from .spaces import (
     norm,
     support_set,
 )
-from .subspaces import (
-    Subspace,
-    _check_ambient,
-    jy_set,
-    jy_set_via_faces,
-    require_coordinates,
-    smooth_dense_in,
-    subspace,
-)
+from .subspaces import Subspace, jy_set, jy_set_via_faces, smooth_dense_in, subspace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,16 +78,16 @@ def _loads(text: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def _vector(value) -> tuple[Fraction, ...]:
+def _vector(value, name: str = "a point") -> tuple[Fraction, ...]:
     if not isinstance(value, list) or not value:
-        raise ValueError("a point must be a nonempty JSON array of rationals")
+        raise ValueError(f"{name} must be a nonempty JSON array of rationals")
     return vec(value)
 
 
-def _matrix(value) -> tuple[tuple[Fraction, ...], ...]:
+def _matrix(value, name: str = "a basis", row: str = "a basis row") -> tuple[tuple, ...]:
     if not isinstance(value, list) or not value:
-        raise ValueError("a basis must be a nonempty JSON array of rows")
-    return tuple(_vector(row) for row in value)
+        raise ValueError(f"{name} must be a nonempty JSON array of rows")
+    return tuple(_vector(r, row) for r in value)
 
 
 def _space(spec) -> PolyhedralSpace:
@@ -111,21 +103,13 @@ def _space(spec) -> PolyhedralSpace:
     if unknown:
         raise ValueError(f"unknown space key(s): {', '.join(sorted(unknown))}")
     if kind != "custom":
+        if "n" not in spec:
+            raise ValueError(f"{kind} space spec needs \"n\"")
         return (make_linf if kind == "linf" else make_l1)(int(spec["n"]))
     if len(fields) != 1:
         raise ValueError("custom space spec needs exactly one of \"vertices\" and \"facets\"")
     (key,) = fields
-    return make_custom(**{key: _matrix(spec[key])})
-
-
-def _encode(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
+    return make_custom(**{key: _matrix(spec[key], key, f"a row of {key}")})
 
 
 @dataclass
@@ -139,18 +123,14 @@ class Request:
     epsilon: Fraction | None = None
     verify: bool = False
 
-    def need_space(self) -> PolyhedralSpace:
-        if self.space is None:
-            raise ValueError("this command needs --space")
-        return self.space
-
-    def need_basis(self) -> tuple:
-        if self.basis is None:
-            raise ValueError("this command needs --basis")
-        return self.basis
+    def need(self, key: str):
+        value = getattr(self, key)
+        if value is None:
+            raise ValueError(f"this command needs --{key}")
+        return value
 
     def need_subspace(self) -> Subspace:
-        return subspace(self.need_basis())
+        return subspace(self.need("basis"))
 
     def _fits_space(self, label: str, vector: tuple) -> tuple:
         if self.space is not None and len(vector) != self.space.dim:
@@ -163,14 +143,7 @@ class Request:
         return self._fits_space("point", self.points[k])
 
     def need_y0(self) -> tuple:
-        if self.y0 is None:
-            raise ValueError("this command needs --y0")
-        return self._fits_space("y0", self.y0)
-
-    def need_epsilon(self) -> Fraction:
-        if self.epsilon is None:
-            raise ValueError("this command needs --epsilon")
-        return self.epsilon
+        return self._fits_space("y0", self.need("y0"))
 
 
 def _gather(args) -> Request:
@@ -208,7 +181,7 @@ def _gather(args) -> Request:
 
     y0 = args.y0 if args.y0 is not None else doc.get("y0")
     if y0 is not None:
-        req.y0 = _vector(y0 if isinstance(y0, list) else _loads(y0))
+        req.y0 = _vector(y0 if isinstance(y0, list) else _loads(y0), "y0")
     eps = args.epsilon if args.epsilon is not None else doc.get("epsilon")
     if eps is not None:
         req.epsilon = epsilon_value(eps)
@@ -217,20 +190,20 @@ def _gather(args) -> Request:
 
 
 def _cmd_norm(req: Request) -> dict:
-    return {"norm": norm(req.need_space(), req.need_point())}
+    return {"norm": norm(req.need("space"), req.need_point())}
 
 
 def _cmd_jset(req: Request) -> dict:
-    supp = support_set(req.need_space(), req.need_point())
+    supp = support_set(req.need("space"), req.need_point())
     return {"indices": list(supp.indices), "functionals": supp.functionals}
 
 
 def _cmd_smooth(req: Request) -> dict:
-    return {"smooth": is_smooth(req.need_space(), req.need_point())}
+    return {"smooth": is_smooth(req.need("space"), req.need_point())}
 
 
 def _cmd_bj(req: Request) -> dict:
-    space = req.need_space()
+    space = req.need("space")
     x, y = req.need_point(0), req.need_point(1)
     answer = bj_orthogonal(space, x, y)
     out = {"orthogonal": answer}
@@ -243,13 +216,13 @@ def _cmd_bj(req: Request) -> dict:
 
 
 def _cmd_eps_bj(req: Request) -> dict:
-    eps = req.need_epsilon()
-    answer = eps_bj_orthogonal(req.need_space(), req.need_point(0), req.need_point(1), eps)
+    eps = req.need("epsilon")
+    answer = eps_bj_orthogonal(req.need("space"), req.need_point(0), req.need_point(1), eps)
     return {"orthogonal": answer, "epsilon": eps}
 
 
 def _cmd_best_coapprox(req: Request) -> dict:
-    space = req.need_space()
+    space = req.need("space")
     y = req.need_subspace()
     x = req.need_point()
     result = solve_best_coapprox(space, y, x)
@@ -273,26 +246,25 @@ def _cmd_best_coapprox(req: Request) -> dict:
 
 
 def _cmd_eps_check(req: Request) -> dict:
-    eps = req.need_epsilon()
-    space, y = req.need_space(), req.need_subspace()
+    eps = req.need("epsilon")
+    space, y = req.need("space"), req.need_subspace()
     x, y0 = req.need_point(), req.need_y0()
-    if x == y0:
-        _check_ambient(space, y)
-        require_coordinates(y, y0, "y0")
-        return {"is_eps_best": True, "epsilon": eps, "defect": Fraction(0)}
-    defect = eps_coapprox_defect(space, y, x, y0)
+    try:
+        defect = eps_coapprox_defect(space, y, x, y0)
+    except DegenerateQuery:  # x = y0 is its own best coapproximation
+        defect = Fraction(0)
     return {"is_eps_best": defect <= eps, "epsilon": eps, "defect": defect}
 
 
 def _cmd_defect(req: Request) -> dict:
     defect = eps_coapprox_defect(
-        req.need_space(), req.need_subspace(), req.need_point(), req.need_y0()
+        req.need("space"), req.need_subspace(), req.need_point(), req.need_y0()
     )
     return {"defect": defect}
 
 
 def _cmd_classify(req: Request) -> dict:
-    result = classify(req.need_space(), req.need_subspace(), verify=req.verify)
+    result = classify(req.need("space"), req.need_subspace(), verify=req.verify)
     out = {"anti": result.anti, "strongly_anti": result.strongly_anti,
            "engine": result.engine, "certificates": result.certificates}
     if result.generic is not None:
@@ -301,7 +273,7 @@ def _cmd_classify(req: Request) -> dict:
 
 
 def _cmd_star_property(req: Request) -> dict:
-    table = component_table(req.need_basis())
+    table = component_table(req.need("basis"))
     rows = []
     for i in range(1, table.n + 1):
         result = _star(table, i)
@@ -313,7 +285,7 @@ def _cmd_star_property(req: Request) -> dict:
 
 
 def _cmd_norming_set(req: Request) -> dict:
-    basis = req.need_basis()
+    basis = req.need("basis")
     norming = minimal_norming_set(basis)
     return {
         "zero_set": sorted(zero_set(basis)),
@@ -324,7 +296,7 @@ def _cmd_norming_set(req: Request) -> dict:
 
 
 def _cmd_facets(req: Request) -> dict:
-    space = req.need_space()
+    space = req.need("space")
     return {
         "dim": space.dim,
         "vertices": space.vertices,
@@ -334,7 +306,7 @@ def _cmd_facets(req: Request) -> dict:
 
 
 def _cmd_jy(req: Request) -> dict:
-    space, y = req.need_space(), req.need_subspace()
+    space, y = req.need("space"), req.need_subspace()
     jy = jy_set_via_faces(space, y)
     out = {
         "indices": list(jy.indices),
@@ -387,11 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, pretty: bool) -> None:
-    body = _encode(payload)
-    if pretty:
-        print(json.dumps(body, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(body, sort_keys=True))
+    # every payload value is JSON-native or a Fraction, written as "p/q"
+    print(json.dumps(payload, indent=2 if pretty else None, sort_keys=True, default=str))
 
 
 def main(argv=None) -> int:

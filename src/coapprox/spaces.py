@@ -6,9 +6,10 @@ facet functionals verbatim: an irredundant description {x : <g, x> <= 1} makes
 every g attain maximum exactly 1 on the ball, so these are precisely the
 extreme points of the dual unit ball, already scaled to dual norm one.
 
-Builders cover the sup-norm cube and the 1-norm cross-polytope, once per n,
-and custom balls from either representation.  Every verdict reads the extreme
-functionals at a point in one integer pass over rows each space clears once.
+Builders cover the sup-norm cube and the 1-norm cross-polytope, its polar
+(the cube's two lists swapped), once per n, and custom balls from either
+representation.  Every verdict reads the extreme functionals at a point in
+one integer pass over rows each space clears once.
 """
 
 from __future__ import annotations
@@ -96,17 +97,13 @@ def make_linf(n: int) -> PolyhedralSpace:
 
 @lru_cache(maxsize=None, typed=True)
 def make_l1(n: int) -> PolyhedralSpace:
-    """1-norm space: ball is the cross-polytope, dual extremes all sign vectors."""
-    _check_builder_dim(n)
-    verts = tuple(unit(n, i) for i in range(n)) + tuple(
-        tuple(-x for x in unit(n, i)) for i in range(n)
-    )
-    duals = tuple(
-        tuple(Fraction(s) for s in signs) for signs in itertools.product((-1, 1), repeat=n)
-    )
-    return PolyhedralSpace(
-        kind="l1", dim=n, vertices=canonical_sorted(verts), dual_extreme=canonical_sorted(duals)
-    )
+    """1-norm space, the polar of the sup-norm one: the cube's two lists swapped.
+
+    The ball is the cross-polytope +-e_i and the dual extremes are all sign
+    vectors (bipolar theorem).
+    """
+    cube = make_linf(n)
+    return PolyhedralSpace(kind="l1", dim=n, vertices=cube.dual_extreme, dual_extreme=cube.vertices)
 
 
 def make_custom(vertices=None, facets=None) -> PolyhedralSpace:

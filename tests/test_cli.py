@@ -381,6 +381,28 @@ class TestExitCodes:
         assert code == 1
         assert out["error"] == {"type": "ValueError", "message": f"unknown space key(s): {keys}"}
 
+    @pytest.mark.parametrize(
+        ("argv", "error"),
+        [
+            (["--space", '{"type":"custom","vertices":[]}'],
+             ("ValueError", "vertices must be a nonempty JSON array of rows")),
+            (["--space", '{"type":"custom","vertices":[[1,0],[]]}'],
+             ("ValueError", "a row of vertices must be a nonempty JSON array of rationals")),
+            (["--space", '{"type":"custom","facets":[[]]}'],
+             ("ValueError", "a row of facets must be a nonempty JSON array of rationals")),
+            (["--space", LINF3, "--basis", "[[1,0,0],[]]"],
+             ("ValueError", "a basis row must be a nonempty JSON array of rationals")),
+            (["--space", LINF3, "--basis", NARROW, "--y0", "[]"],
+             ("ValueError", "y0 must be a nonempty JSON array of rationals")),
+            (["--space", '{"type":"linf"}'], ("ValueError", 'linf space spec needs "n"')),
+        ],
+        ids=["vertices", "vertices-row", "facets-row", "basis-row", "y0", "missing-n"],
+    )
+    def test_malformed_field_is_named(self, capsys, argv, error):
+        code, out = run(capsys, "defect", *argv, "--point", "[1,0,0]")
+        assert code == 1
+        assert out["error"] == dict(zip(("type", "message"), error))
+
     def test_bool_in_vector_is_one(self, capsys):
         code, out = run(capsys, "norm", "--space", LINF3, "--point", "[true,0,0]")
         assert code == 1

@@ -15,7 +15,9 @@ that system directly, so only the lambda oracle of orthogonality calls
 ``lp_solve``.  An induced ball makes one conversion and one meet test, and
 reads its incidences off its own product of vertices and rows: only the two
 readers of a ball given by points (``symmetric_ball``, ``enumerate_faces``)
-call ``_incidences``.
+call ``_incidences``.  The CLI is a client of the public library: every name
+it imports is in ``coapprox.__all__``, but for ``linf._star``, with which
+``star-property`` asks every component of one table.
 """
 
 import ast
@@ -235,3 +237,38 @@ def test_the_incidence_lint_names_each_caller(tmp_path):
     assert _callers(bad, "_incidences") == ["InducedBall.faces", "induced_ball"]
     assert _callers(bad, "conv_facets") == ["induced_ball", "induced_ball"]
     assert _callers(bad, "extreme_subset") == ["induced_ball"]
+
+
+CLI_PRIVATE = {("linf", "_star")}  # star-property builds one component table per request
+
+
+def _private_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not node.level and module.split(".")[0] != "coapprox":
+            continue
+        source = "." * node.level + module
+        for alias in node.names:
+            if alias.name in ca.__all__ or (module.rpartition(".")[2], alias.name) in CLI_PRIVATE:
+                continue
+            yield f"{path.name}:{node.lineno}: imports {alias.name} from {source}"
+
+
+def test_the_cli_imports_only_public_names():
+    assert list(_private_imports(PACKAGE / "cli.py")) == []
+
+
+def test_the_public_import_lint_names_each_private_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .subspaces import _check_ambient, require_coordinates, subspace\n"
+        "from .linf import _star, component_table\n"
+        "from coapprox.linalg import _cleared\n"
+        "from . import spaces\n"
+    )
+    assert [v.split(": ", 1)[1] for v in _private_imports(bad)] == [
+        "imports _check_ambient from .subspaces", "imports require_coordinates from .subspaces",
+        "imports _cleared from coapprox.linalg", "imports spaces from .",
+    ]

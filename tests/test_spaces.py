@@ -1,13 +1,14 @@
 """Polyhedral norm spaces: builders, norms, support sets, smoothness."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import coapprox as ca
-from coapprox.linalg import dot, neg
+from coapprox.linalg import canonical_sorted, dot, neg, unit
 
 from conftest import prism_vertices, rational_point, seeded
 
@@ -81,6 +82,23 @@ class TestBuilders:
             ca.make_linf(3.0)
         with pytest.raises(TypeError):
             ca.make_l1(3.0)
+
+    def test_l1_is_the_polar_of_linf(self):
+        # the former builder, which enumerated both lists itself; == compares every field
+        def former_l1(n):
+            verts = tuple(unit(n, i) for i in range(n)) + tuple(
+                tuple(-x for x in unit(n, i)) for i in range(n)
+            )
+            duals = tuple(
+                tuple(F(s) for s in signs) for signs in itertools.product((-1, 1), repeat=n)
+            )
+            return ca.PolyhedralSpace(
+                kind="l1", dim=n, vertices=canonical_sorted(verts), dual_extreme=canonical_sorted(duals)
+            )
+
+        for n in range(2, 13):
+            new, old = ca.make_l1(n), former_l1(n)
+            assert (new, hash(new), repr(new)) == (old, hash(old), repr(old))
 
     def test_dual_rows_have_dual_norm_one(self):
         # every stored functional attains value exactly 1 on the ball
