@@ -105,7 +105,10 @@ def _space(spec) -> PolyhedralSpace:
     if kind != "custom":
         if "n" not in spec:
             raise ValueError(f"{kind} space spec needs \"n\"")
-        return (make_linf if kind == "linf" else make_l1)(int(spec["n"]))
+        n = spec["n"]
+        if type(n) is not int:
+            raise ValueError(f"{kind} space spec needs \"n\" as a JSON integer, got {json.dumps(n)}")
+        return (make_linf if kind == "linf" else make_l1)(n)
     if len(fields) != 1:
         raise ValueError("custom space spec needs exactly one of \"vertices\" and \"facets\"")
     (key,) = fields

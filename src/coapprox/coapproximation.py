@@ -49,12 +49,10 @@ from .linalg import (
     ZERO,
     _cleared,
     _Growing,
-    centroid,
     dot,
     fr,
     is_zero,
     lp_solve,
-    neg,
     rank,
     solve_linear,
     sub,
@@ -287,12 +285,15 @@ def is_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> AntiResult:
     """
     require_proper(y.dim, space.dim)
     jy = jy_set_via_faces(space, y)
-    jy_rank = rank(jy.functionals)
+    # J_Y on the space's integer rows: one common multiplier keeps the rank and the kernel
+    _, functionals = space._functional_ints
+    jy_rows = [functionals[i] for i in jy.indices]
+    jy_rank = rank(jy_rows)
     dense = smooth_dense_in(space, y)
     if jy_rank == space.dim:
         witness = None
     elif dense:
-        witness = solve_linear(jy.functionals, zeros(jy.size)).nullspace[0]
+        witness = solve_linear(jy_rows, zeros(jy.size)).nullspace[0]
     else:
         witness = _coapproximable_direction(space, y)
     if witness is None:
@@ -343,17 +344,19 @@ def is_strongly_anti_coproximinal(space: PolyhedralSpace, y: Subspace) -> Strong
     gm, functionals = space._functional_ints
     vm, vertices = space._vertex_ints
     f = functionals[missed_idx]
-    point = centroid(
-        [vert for vert, ints in zip(space.vertices, vertices) if sum(map(mul, f, ints)) == gm * vm]
-    )
-    one, values = _values(space, point)
+    # the centroid of the k vertices on the missed facet is total / (k * vm)
+    on_facet = [vert for vert in vertices if sum(map(mul, f, vert)) == gm * vm]
+    total, k = [sum(col) for col in zip(*on_facet)], len(on_facet)
+    one = gm * vm * k
+    values = [sum(map(mul, h, total)) for h in functionals]
     if values[missed_idx] != one:
         raise Discrepancy("the certificate point is not on the missed facet")
     if max(values[:missed_idx] + values[missed_idx + 1:]) >= one:
         raise Discrepancy("the certificate point is not interior to the missed facet")
+    point = tuple(Fraction(t, vm * k) for t in total)
     if coordinates(y, point) is not None:
         raise Discrepancy("an interior point of the missed facet lies in Y")
-    pair = (missed_idx, space.dual_extreme.index(neg(g)))
+    pair = (missed_idx, functionals.index(tuple(-x for x in f)))
     eps0 = Fraction(max(abs(value) for i, value in enumerate(values) if i not in pair), one)
     return StrongResult(
         status="no", jy=jy, missed=g, interior_point=point, epsilon0=eps0

@@ -26,6 +26,7 @@ from .errors import Discrepancy, NonEmptyZeroSet
 from .linalg import (
     Vector,
     _cleared,
+    _cleared_row,
     _Growing,
     dot,
     is_zero,
@@ -102,7 +103,7 @@ def _norming_set(basis) -> NormingSet:
     def descend(parent: _Growing, i: int, signs: tuple[int, ...]) -> None:
         if i == len(comps):
             beta = parent.point()
-            _, (w,) = _cleared([beta])
+            w = _cleared_row(beta)
             if not all(s * sum(map(mul, row, w)) > 0 for s, row in zip(signs, ints)):
                 raise Discrepancy("a norming-set witness fails its sign vector")
             found.append((vec(signs), beta))

@@ -95,11 +95,6 @@ def neg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
-def centroid(points) -> Vector:
-    """The average of a nonempty list of points."""
-    return tuple(sum(col, start=ZERO) / len(points) for col in zip(*points, strict=True))
-
-
 def is_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
@@ -116,6 +111,12 @@ def _cleared(vectors) -> tuple[int, list[list[int]]]:
     """
     mult = lcm(*(x.denominator for v in vectors for x in v))
     return mult, [[x.numerator * (mult // x.denominator) for x in v] for v in vectors]
+
+
+def _cleared_row(v) -> list[int]:
+    """One rational row times the lcm of its own denominators: integers, same ratios."""
+    mult = lcm(*(x.denominator for x in v))
+    return [x.numerator * (mult // x.denominator) for x in v]
 
 
 def _pivot(rows: list, r: int, s: int, d: int) -> int:
@@ -137,18 +138,19 @@ def _pivot(rows: list, r: int, s: int, d: int) -> int:
 
 
 def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of a list of rational rows, in place.
+    """Fraction-free Gauss-Jordan elimination of a list of integer rows, in place.
 
-    Each row is first cleared to integers (row scaling changes neither the
-    row space nor the solutions), then pivots are taken left to right in the
-    first ``ncols`` columns, each one ``_pivot`` step: the rows are a
-    condensed tableau whose basic columns, the rows' own slacks, are not
-    stored.  Every column but the pivot columns, a right-hand side too, gets
-    the Bareiss update, so on return those columns hold d times the reduced
-    row echelon form; each pivot column holds the slack it swapped out.
+    Pivots are taken left to right in the first ``ncols`` columns, each one
+    ``_pivot`` step: the rows are a condensed tableau whose basic columns,
+    the rows' own slacks, are not stored.  Every column but the pivot
+    columns, a right-hand side too, gets the Bareiss update, so on return
+    those columns hold d times the reduced row echelon form; each pivot
+    column holds the slack it swapped out.  Callers clear rational rows
+    first (row scaling changes neither the row space nor the solutions);
+    any entry but an int is refused with TypeError.
     """
-    for i, row in enumerate(rows):
-        _, (rows[i],) = _cleared([row])
+    if not {int}.issuperset(type(x) for row in rows for x in row):
+        raise TypeError("an eliminated row takes int entries only")
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):
@@ -166,7 +168,7 @@ def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals: the pivot count of the fraction-free elimination."""
-    pivots, _ = _reduce(list(m), len(m[0]) if m else 0)
+    pivots, _ = _reduce([_cleared_row(row) for row in m], len(m[0]) if m else 0)
     return len(pivots)
 
 
@@ -193,7 +195,7 @@ def solve_linear(a: Matrix, b: Vector) -> LinearSolution:
     if len(b) != len(a):
         raise ValueError("right-hand side length does not match row count")
     ncols = len(a[0]) if a else 0
-    rows = [[*row, rhs] for row, rhs in zip(a, b)]
+    rows = [_cleared_row((*row, rhs)) for row, rhs in zip(a, b)]
     pivots, d = _reduce(rows, ncols)
     if any(row[ncols] != 0 for row in rows[len(pivots):]):
         return LinearSolution(kind="inconsistent")
@@ -317,10 +319,10 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpResult:
         rows += [(unit(nvars, j), r, b) for r, b in ((">=", lo), ("<=", hi)) if b is not None]
     grown = _Growing(nvars)
     for coeffs, rel, b in rows:
-        _, ((*ints, rhs),) = _cleared([(*coeffs, b) if rel == "<=" else (*neg(coeffs), -b)])
+        *ints, rhs = _cleared_row((*coeffs, b) if rel == "<=" else (*neg(coeffs), -b))
         if not grown.add(ints, rhs):
             return LpResult(status="infeasible")
-    _, (obj,) = _cleared([problem.objective])
+    obj = _cleared_row(problem.objective)
     tableau = [*grown.rows, grown._reduced([x if sense == "min" else -x for x in obj], 0)]
     status, grown.d = _run_simplex(tableau, grown.basis, grown.cols, grown.d)
     if status == "unbounded":
@@ -430,7 +432,7 @@ def strict_feasibility(c: Matrix) -> Feasibility:
     if not all(grown.add([-x for x in row], -mult) for row in rows):
         return Feasibility(feasible=False)
     witness = grown.point()
-    _, (ints,) = _cleared([witness])
+    ints = _cleared_row(witness)
     if not all(sum(map(mul, row, ints)) > 0 for row in rows):
         raise Discrepancy("the strict-feasibility witness fails a row")
     return Feasibility(feasible=True, witness=witness)

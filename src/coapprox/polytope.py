@@ -16,6 +16,10 @@ half-spaces one at a time, and combine adjacent positive/negative ray pairs on
 each new hyperplane.  As in Fukuda & Prodon, rays are primitive integer tuples
 that carry their zero sets as bitmasks; a pair is adjacent when its meet has
 popcount >= d-1 and no third ray's mask contains it.  All arithmetic is exact.
+The points are cleared to integers by one common multiplier, deduplicated and
+the facets sorted there; Fractions are made once, for the returned facets and
+for ``VRep``/``HRep``, whose checks (deduplication, symmetry, rank, order of the
+kept entries) also run on the cleared rows.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateInput, Discrepancy, UnboundedInput
@@ -32,8 +36,6 @@ from .linalg import (
     _cleared,
     _reduce,
     affine_rank,
-    canonical_sorted,
-    neg,
     rank,
     vec,
 )
@@ -131,22 +133,25 @@ def conv_facets(points) -> tuple[Vector, ...]:
     """Irredundant facet functionals of conv(points), scaled to <f, x> <= 1.
 
     Requires the points to span the space with the origin interior to the
-    hull; raises DegenerateInput otherwise.
+    hull; raises DegenerateInput otherwise.  The points are cleared to
+    integers by one common multiplier and deduplicated there; Fractions are
+    made once, for the sorted facets.
     """
-    pts = list(dict.fromkeys(vec(p) for p in points))
-    if not pts:
+    mult, ints = _cleared([vec(p) for p in points])
+    if not ints:
         raise DegenerateInput("empty point set")
-    d = len(pts[0])
-    # the rows (-p, 1) and (0, 1), times one common multiplier
-    mult, ints = _cleared(pts)
-    rows = [[-x for x in p] + [mult] for p in ints]
+    d = len(ints[0])
+    # the rows (-p, 1) and (0, 1), times the common multiplier
+    rows = [[-x for x in p] + [mult] for p in dict.fromkeys(map(tuple, ints))]
     rows.append([0] * d + [1])
-    facets = []
-    for ray in _extreme_rays(rows):
-        if ray[d] == 0:
-            raise DegenerateInput("origin is not interior to the hull")
-        facets.append(tuple(Fraction(x, ray[d]) for x in ray[:d]))
-    return canonical_sorted(facets)
+    rays = _extreme_rays(rows)
+    if any(ray[d] == 0 for ray in rays):
+        raise DegenerateInput("origin is not interior to the hull")
+    # each facet is f / t with t > 0, so scaling by L = lcm of the t's keeps
+    # the order of the Fraction tuples
+    common = lcm(*(ray[d] for ray in rays))
+    rays.sort(key=lambda ray: [x * (common // ray[d]) for x in ray[:d]])
+    return tuple(tuple(Fraction(x, ray[d]) for x in ray[:d]) for ray in rays)
 
 
 def _incidences(facets, points) -> list[int]:
@@ -199,26 +204,31 @@ def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
     symmetric, and stripped of non-extreme entries (with a warning); the
     other representation comes from the same conversion pass.
     """
-    pts = tuple(dict.fromkeys(vec(p) for p in raw))
-    if not pts:
+    points = [vec(p) for p in raw]
+    if not points:
         raise DegenerateInput(f"empty {kind} set")
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
+    # one common multiplier keeps equality, negation and order, so the
+    # checks run on the cleared integer rows, each kept with its first point
+    first: dict[tuple[int, ...], Vector] = {}
+    for row, point in zip(map(tuple, _cleared(points)[1]), points):
+        first.setdefault(row, point)
+    rows, pts = tuple(first), tuple(first.values())
+    d = len(rows[0])
+    if any(len(row) != d for row in rows):
         raise ValueError(f"{kind} vectors have unequal lengths")
     err = DegenerateInput if kind == "vertex" else UnboundedInput
-    if rank(pts) < d:
+    if rank(rows) < d:
         raise err(f"{kind} set does not span the space")
-    pointset = set(pts)
-    if any(neg(p) not in pointset for p in pts):
+    if any(tuple(-x for x in row) not in first for row in rows):
         raise DegenerateInput(f"{kind} set is not symmetric under negation")
     hull = conv_facets(pts)
     keep, _ = extreme_subset(_incidences(hull, pts), len(pts))
-    if len(keep) < len(pts):
+    if len(keep) < len(rows):
         warnings.warn(
-            f"dropped {len(pts) - len(keep)} non-extreme {kind} point(s) from input",
+            f"dropped {len(rows) - len(keep)} non-extreme {kind} point(s) from input",
             stacklevel=3,
         )
-    keep = canonical_sorted(pts[i] for i in keep)
+    keep = tuple(pts[i] for i in sorted(keep, key=rows.__getitem__))
     if kind == "vertex":
         return VRep(vertices=keep, dim=d), HRep(facets=hull, dim=d)
     return VRep(vertices=hull, dim=d), HRep(facets=keep, dim=d)

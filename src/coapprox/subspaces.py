@@ -22,6 +22,11 @@ the classifiers and the CLI) takes as witnesses the embedded centroids of
 the facets with a singleton dual.  ``jy_set`` decides each extreme
 functional by one strict linear system instead and serves as the oracle of
 ``jy --verify`` and of the test suite.
+
+The pass runs on cleared integers.  Fractions are made for the distinct rows
+handed to ``conv_facets`` (its facets are B_Y's vertices, cleared once on
+return) and for the fields of ``InducedBall``.  A ``Subspace`` keeps its hash,
+so a cached ``induced_ball`` lookup hashes no Fraction.
 """
 
 from __future__ import annotations
@@ -54,9 +59,20 @@ from .spaces import PolyhedralSpace, _checked
 
 @dataclass(frozen=True)
 class Subspace:
-    """Y = span of the basis rows (linearly independent vectors of X)."""
+    """Y = span of the basis rows (linearly independent vectors of X).
+
+    The hash, a key of ``induced_ball``'s cache, is computed once; equality
+    still compares the basis.
+    """
 
     basis: Matrix
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.basis)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:

@@ -94,6 +94,11 @@ def independent_basis(rng, n, m, lo=-4, hi=4):
             return rows
 
 
+def centroid(points):
+    """The average of a nonempty list of points, in Fractions: the oracle of the integer centroids."""
+    return tuple(sum(col, start=Fraction(0)) / len(points) for col in zip(*points, strict=True))
+
+
 def seeded(seed):
     return random.Random(seed)
 

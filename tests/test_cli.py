@@ -395,8 +395,21 @@ class TestExitCodes:
             (["--space", LINF3, "--basis", NARROW, "--y0", "[]"],
              ("ValueError", "y0 must be a nonempty JSON array of rationals")),
             (["--space", '{"type":"linf"}'], ("ValueError", 'linf space spec needs "n"')),
+            (["--space", '{"type":"linf","n":"3"}'],
+             ("ValueError", 'linf space spec needs "n" as a JSON integer, got "3"')),
+            (["--space", '{"type":"l1","n":" 3 "}'],
+             ("ValueError", 'l1 space spec needs "n" as a JSON integer, got " 3 "')),
+            (["--space", '{"type":"linf","n":true}'],
+             ("ValueError", 'linf space spec needs "n" as a JSON integer, got true')),
+            (["--space", '{"type":"l1","n":"abc"}'],
+             ("ValueError", 'l1 space spec needs "n" as a JSON integer, got "abc"')),
+            (["--space", '{"type":"linf","n":[3]}'],
+             ("ValueError", 'linf space spec needs "n" as a JSON integer, got [3]')),
         ],
-        ids=["vertices", "vertices-row", "facets-row", "basis-row", "y0", "missing-n"],
+        ids=[
+            "vertices", "vertices-row", "facets-row", "basis-row", "y0", "missing-n",
+            "n-string", "n-padded-string", "n-bool", "n-word", "n-list",
+        ],
     )
     def test_malformed_field_is_named(self, capsys, argv, error):
         code, out = run(capsys, "defect", *argv, "--point", "[1,0,0]")

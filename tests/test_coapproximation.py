@@ -21,6 +21,7 @@ from coapprox.linalg import LpProblem, add, dot, lp_solve, neg, scale, sub, unit
 from conftest import (
     L1_BASIS,
     NARROW_BASIS,
+    centroid,
     independent_basis,
     nonzero_point,
     rational_point,
@@ -253,7 +254,7 @@ import coapprox.subspaces as su
 
 space, y = ca.make_linf(3), ca.subspace([(1, 0, 0), (0, 1, 0)])
 narrow = ca.subspace([(1, 1, 2), (2, 2, 1)])
-centroid, coordinates, is_best_coapprox = co.centroid, co.coordinates, co.is_best_coapprox
+coordinates, is_best_coapprox = co.coordinates, co.is_best_coapprox
 solve_linear, conv_facets = su.solve_linear, su.conv_facets
 
 
@@ -274,9 +275,12 @@ print(__debug__)
 co.is_best_coapprox = lambda *args: False
 attempt("anti-witness", lambda: co.is_anti_coproximinal(space, y))
 attempt("anti-search-witness", lambda: co.is_anti_coproximinal(space, narrow))
-co.centroid = lambda points: points[0]
-attempt("strong-interior", lambda: co.is_strongly_anti_coproximinal(space, y))
-co.centroid = centroid
+# an equal space whose integer vertex rows hold only the first vertex, so the
+# centroid of the missed facet's vertices is that vertex, not interior
+one_vertex = replace(space)
+vm, vertex_rows = space._vertex_ints
+one_vertex.__dict__["_vertex_ints"] = (vm, vertex_rows[:1])
+attempt("strong-interior", lambda: co.is_strongly_anti_coproximinal(one_vertex, y))
 co.coordinates = lambda sub, x: coordinates(sub, x) or ()
 attempt("strong-outside", lambda: co.is_strongly_anti_coproximinal(space, y))
 co.is_best_coapprox = is_best_coapprox
@@ -397,6 +401,33 @@ class TestStrongClassification:
             assert ca.eps_coapprox_defect(space, y, x, zeros(space.dim)) <= res.epsilon0
             kinds.add((space.kind, space.dim))
         assert {("custom", 3), ("custom", 4), ("linf", 5), ("l1", 6)} <= kinds, kinds
+
+    @pytest.mark.filterwarnings("ignore:dropped .* non-extreme")
+    def test_interior_point_is_the_fraction_centroid(self):
+        # the certificate is summed on the space's integer vertex rows; the
+        # oracle averages the Fraction vertices on the missed facet
+        rng = seeded(271)
+        cases = []
+        for n in (3, 4, 5):
+            for space in (ca.make_linf(n), ca.make_l1(n)):
+                for _ in range(4):
+                    cases.append((space, ca.subspace(independent_basis(rng, n, rng.randint(2, n - 1)))))
+        while len(cases) < 34:
+            # rational vertices, so the vertex rows are cleared by a multiplier > 1
+            points = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)) for _ in range(6)]
+            if ca.rank(ca.mat(points)) < 4:
+                continue
+            space = ca.make_custom(vertices=points + [neg(p) for p in points])
+            cases.append((space, ca.subspace(independent_basis(rng, 4, rng.randint(2, 3)))))
+        kinds = set()
+        for space, y in cases:
+            res = ca.is_strongly_anti_coproximinal(space, y)
+            if res.status == "yes":
+                continue
+            on_facet = [vert for vert in space.vertices if dot(res.missed, vert) == 1]
+            assert res.interior_point == centroid(on_facet)
+            kinds.add((space.kind, space._vertex_ints[0] > 1))
+        assert {("linf", False), ("l1", False), ("custom", True)} <= kinds, kinds
 
 
 class TestConditions:

@@ -194,11 +194,18 @@ class TestOneElimination:
 
     def test_right_hand_side_holds_d_times_the_solution(self):
         # the pivot columns hold the swapped-out slacks; the rhs over d is the solution
-        rows = [[F(2), F(1), F(-1), F(8)], [F(-3), F(-1), F(2), F(-11)], [F(-2), F(1), F(2), F(-3)]]
+        rows = [[2, 1, -1, 8], [-3, -1, 2, -11], [-2, 1, 2, -3]]
         pivots, d = coapprox.linalg._reduce(rows, 3)
         assert pivots == [0, 1, 2]
         assert all(type(x) is int for row in rows for x in row)
         assert [F(row[3], d) for row in rows] == [2, 3, -1]
+
+    def test_only_int_rows_are_eliminated(self):
+        # rank and solve_linear clear their rows first; the elimination itself
+        # refuses anything else, as the grown tableau does
+        for entry in (F(1), F(1, 2), True, "1"):
+            with pytest.raises(TypeError):
+                coapprox.linalg._reduce([[1, 0], [entry, 1]], 2)
 
 
 def _random_system(rng):

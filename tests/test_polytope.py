@@ -247,17 +247,21 @@ def test_initial_rays_match_the_oracle():
         for _ in range(rng.randint(r, d + 4)):
             coefs = [rng.randint(-2, 2) for _ in gens]
             rows.append(tuple(sum((c * g[k] for c, g in zip(coefs, gens)), ZERO) for k in range(d)))
+        # _initial_rays eliminates integer rows only: cleared rows, then primitive ones
+        cleared = [_cleared([row])[1][0] for row in rows]
+        with pytest.raises(TypeError):
+            polytope._initial_rays(rows, d)
         try:
             expected = _oracle_initial_rays(rows, d)
         except ca.DegenerateInput:
-            for given in (rows, [_primitive(row) for row in rows]):
+            for given in (cleared, [_primitive(row) for row in rows]):
                 with pytest.raises(ca.DegenerateInput):
                     polytope._initial_rays(given, d)
             outcomes.add("degenerate")
             continue
         picked, cols = expected
         expected = (picked, [_oracle_primitive(list(col)) for col in cols])
-        for given in (rows, [_primitive(row) for row in rows]):
+        for given in (cleared, [_primitive(row) for row in rows]):
             assert polytope._initial_rays(given, d) == expected
         outcomes.add("simplicial")
     assert outcomes == {"simplicial", "degenerate"}

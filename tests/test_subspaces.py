@@ -15,7 +15,6 @@ from coapprox.linalg import (
     Vector,
     _cleared,
     canonical_sorted,
-    centroid,
     dot,
     is_zero,
     neg,
@@ -26,7 +25,14 @@ from coapprox.polytope import _incidences, conv_facets
 from coapprox.spaces import PolyhedralSpace
 from coapprox.subspaces import InducedBall, Subspace, _check_ambient, _jy
 
-from conftest import NARROW_BASIS, independent_basis, prism_vertices, rational_point, seeded
+from conftest import (
+    NARROW_BASIS,
+    centroid,
+    independent_basis,
+    prism_vertices,
+    rational_point,
+    seeded,
+)
 
 F = Fraction
 
@@ -55,6 +61,20 @@ class TestSubspaceBasics:
             g = rational_point(rng, 3)
             alpha = rational_point(rng, 2)
             assert dot(ca.restrict(y, g), alpha) == dot(g, ca.embed(y, alpha))
+
+    def test_equal_subspaces_share_a_hash_and_one_cache_entry(self):
+        space = ca.make_linf(4)
+        # a span no other test asks about, spelled two ways
+        a = ca.subspace([(1, F(1, 17), 0, 2), (0, 1, -1, F(3, 17))])
+        b = ca.subspace([("1", "1/17", 0, 2), (F(0), 1, -1, "3/17")])
+        assert a is not b and a == b and hash(a) == hash(b)
+        # the hash is kept, so a lookup does not hash the basis again
+        assert a.__dict__["_hash"] == hash(a.basis)
+        info = ca.induced_ball.cache_info()
+        assert ca.induced_ball(space, a) is ca.induced_ball(space, b)
+        after = ca.induced_ball.cache_info()
+        assert (after.misses, after.hits) == (info.misses + 1, info.hits + 1)
+        assert ca.subspace([(1, 0, 0, 0)]) != ca.subspace([(0, 1, 0, 0)])
 
 
 class TestInducedBall:
