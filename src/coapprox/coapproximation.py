@@ -21,8 +21,9 @@ Subspace classification rests on the norming-functional set: full rank makes
 the subspace anti-coproximinal (no x outside Y has any best coapproximation),
 meeting the interior of every facet of B_X makes it strongly so (no x outside
 Y has an epsilon-best coapproximation for any epsilon < 1).  Where the rank
-is short and smooth points are not dense in Y, a depth-first search over
-z = x - y0 with y0 = 0 decides anti-coproximinality exactly.  A missed facet
+is short and smooth points are not dense in Y, a search over z = x - y0
+with y0 = 0, branching on a facet class of B_Y whose values on z fail to
+straddle zero, decides anti-coproximinality exactly.  A missed facet
 of B_X is certified by the centroid of its vertices, as J_Y witnesses are on
 B_Y.
 """
@@ -237,14 +238,18 @@ class AntiResult:
 def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | None:
     """Some z outside Y to which 0 is a best coapproximation, or None.
 
-    Any x outside Y with a best coapproximation y0 gives z = x - y0.  Such z
-    form a symmetric union of cones, one per choice of a pair (g-, g+) from
-    each facet class's dual face with <g-, z> <= 0 <= <g+, z>, so each search
-    asks for <w, z> >= 1 with one w of an annihilator basis of Y and chooses
-    the pairs depth first.  Each tried pair grows a copy of its parent's
-    integer system by two rows and is pruned when they make it infeasible;
-    a full path's tableau gives z as its basic point.  The tried pairs are
-    capped at _ANTI_LP_CAP.
+    Any x outside Y with a best coapproximation y0 gives z = x - y0, a z on
+    which the dual face of every facet class of B_Y straddles zero.  Each
+    search asks for <w, z> >= 1 with one w of an annihilator basis of Y and
+    branches on a violated disjunction, as in Balas's disjunctive
+    programming: a class is violated when its values on the basic point z of
+    a node's integer system are all > 0 (all < 0), and the violated class
+    with the fewest functionals, the first such in facet order, gives one
+    child per g in it, a copy of the node grown by <g, z> <= 0 (>= 0) and
+    pruned when that row makes it infeasible.  Every solution in a node lies
+    in some child and a path adds at most two rows per class, so the search
+    is exact and finite; a basic point that violates no class is the
+    witness.  The tried branches are capped at _ANTI_LP_CAP.
     """
     _, functionals = space._functional_ints
     classes = [
@@ -252,23 +257,27 @@ def _coapproximable_direction(space: PolyhedralSpace, y: Subspace) -> Vector | N
     ]
     calls = itertools.count(1)
 
-    def descend(parent: _Growing, level: int) -> Vector | None:
-        for g_minus, g_plus in itertools.product(classes[level], repeat=2):
+    def descend(node: _Growing) -> Vector | None:
+        z = node.scaled_point()  # d > 0 times the basic point: the same signs
+        violated = (dual for dual in classes if _gap([sum(map(mul, g, z)) for g in dual]))
+        dual = min(violated, key=len, default=None)  # fewest children: exhausted trees stay small
+        if dual is None:
+            return node.point()
+        side = 1 if sum(map(mul, dual[0], z)) > 0 else -1
+        for g in dual:
             if next(calls) > _ANTI_LP_CAP:
                 raise BudgetExceeded(_ANTI_LP_CAP, _ANTI_LP_CAP + 1)
-            grown = parent.copy()
-            if not (grown.add(g_minus, 0) and grown.add([-x for x in g_plus], 0)):
-                continue
-            z = grown.point() if level + 1 == len(classes) else descend(grown, level + 1)
-            if z is not None:
-                return z
+            child = node.copy()
+            found = descend(child) if child.add([side * x for x in g], 0) else None
+            if found is not None:
+                return found
         return None
 
     for w in solve_linear(y.basis, zeros(y.dim)).nullspace:
         root = _Growing(space.dim)
         mult, (ints,) = _cleared([w])
         root.add([-x for x in ints], -mult)
-        z = descend(root, 0)
+        z = descend(root)
         if z is not None:
             return z
     return None

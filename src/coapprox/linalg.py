@@ -403,11 +403,14 @@ class _Growing:
         self.basis, self.cols, self.d = basis, cols[:s] + cols[s + 1:], d
         return True
 
+    def scaled_point(self) -> list[int]:
+        """d times the basic point of the tableau: integers with the point's signs and ratios."""
+        values = {bc: row[-1] for bc, row in zip(self.basis, self.rows)}
+        return [values.get(j, 0) - values.get(self.nvars + j, 0) for j in range(self.nvars)]
+
     def point(self) -> Vector:
         """The basic point of the tableau, which satisfies every row."""
-        values = {bc: row[-1] for bc, row in zip(self.basis, self.rows)}
-        n = self.nvars
-        return tuple(Fraction(values.get(j, 0) - values.get(n + j, 0), self.d) for j in range(n))
+        return tuple(Fraction(x, self.d) for x in self.scaled_point())
 
 
 @dataclass(frozen=True)

@@ -429,8 +429,8 @@ class TestExitCodes:
         assert out["error"]["type"] == "UsageError"
 
     def test_anti_search_cap_is_two(self, capsys, monkeypatch):
-        # the rank-2 fixture reaches the anti search, whose second LP call
-        # passes a cap of one
+        # the rank-2 fixture reaches the anti search, whose second tried
+        # branch passes a cap of one
         monkeypatch.setattr(coapprox.coapproximation, "_ANTI_LP_CAP", 1)
         verts = [(1, 1, 0), (1, -1, -1), (1, 0, 1), (0, 1, 1), (1, -1, 1)]
         space = json.dumps({"type": "custom", "vertices": verts + [[-c for c in v] for v in verts]})
@@ -439,6 +439,38 @@ class TestExitCodes:
         assert out["error"]["type"] == "BudgetExceeded"
         assert out["error"]["budget"] == 1
         assert out["error"]["required"] == 2
+
+    @pytest.mark.parametrize("vertices, basis", [
+        (
+            [[-2, -2, 2, 1, -1, 0], [-2, -1, -2, -2, 2, 2], [-2, -1, 1, -2, 1, 2],
+             [-2, 0, 1, -1, 2, 1], [-1, 0, 0, 2, 0, 2], [-1, 0, 1, 0, 0, -1],
+             [0, 0, -1, 0, 1, -1], [0, 0, 1, 0, -1, 1], [1, 0, -1, 0, 0, 1],
+             [1, 0, 0, -2, 0, -2], [2, 0, -1, 1, -2, -1], [2, 1, -1, 2, -1, -2],
+             [2, 1, 2, 2, -2, -2], [2, 2, -2, -1, 1, 0]],
+            [[-2, -1, -2, -2, 2, 2], [-1, 0, 0, 2, 0, 2], [-2, 0, 1, -1, 2, 1], [0, 0, -1, 0, 1, -1]],
+        ),
+        (
+            [[s * c for c in row] for s in (1, -1) for row in (
+                [-2, -1, 1, 2, -2, 2], [-2, 0, -1, -2, -1, 0], [-1, -2, 2, 0, -2, 0],
+                [-1, 1, 0, -2, -2, 0], [0, -1, -1, 2, 0, 1], [0, 0, -2, -1, 2, 2],
+                [0, 0, -1, 2, 2, -2],
+            )],
+            [[-1, 1, 0, -2, -2, 0], [0, 1, 1, -2, 0, -1], [0, 0, -2, -1, 2, 2],
+             [-2, -1, 1, 2, -2, 2], [0, 0, -1, 2, 2, -2]],
+        ),
+    ])
+    def test_desk_scale_anti_search_fits_a_cap_of_100(self, capsys, monkeypatch, vertices, basis):
+        # custom balls in R^6 on which the pairwise search ran past 10^4 branches
+        monkeypatch.setattr(coapprox.coapproximation, "_ANTI_LP_CAP", 100)
+        space = json.dumps({"type": "custom", "vertices": vertices})
+        code, out = run(capsys, "classify", "--space", space, "--basis", json.dumps(basis))
+        assert code == 0
+        assert out["anti"] == "no"
+        certificates = out["certificates"]
+        x, y0 = ([F(c) for c in certificates[key]] for key in ("witness_x", "witness_y0"))
+        ball, y = ca.make_custom(vertices=vertices), ca.subspace(basis)
+        assert ca.coordinates(y, x) is None
+        assert ca.is_best_coapprox(ball, y, x, y0)
 
     def test_output_too_long_for_str_is_one(self, capsys):
         # the norm is a 5000-digit integer, beyond int-to-str conversion

@@ -235,6 +235,22 @@ class TestAntiClassification:
         assert (res.status, res.rank, res.smooth_dense) == ("yes", 2, False)
         assert res.witness_x is None
 
+    def test_exhausted_search_in_r6_fits_a_cap_of_1000(self, monkeypatch):
+        # an anti "yes" that the search proves by exhaustion; branching on the
+        # first violated facet class instead of the smallest took 88,472 branches
+        monkeypatch.setattr(coapprox.coapproximation, "_ANTI_LP_CAP", 1000)
+        half = [
+            (-2, -2, 2, -1, 1, -1), (-2, -1, 1, -2, -2, 0), (-2, -1, 2, -2, -1, 1),
+            (-2, 1, 1, 1, 0, 2), (-1, -2, -2, 2, -1, 2), (-1, -2, 0, 0, -2, 0),
+            (-1, 0, -2, 0, 0, 2), (-1, 1, -1, -2, -2, -2), (-1, 2, 0, -1, 2, -2),
+            (0, -2, -1, 1, 1, 0), (0, 0, 0, -2, -2, -2),
+        ]
+        ball = ca.make_custom(vertices=half + [neg(v) for v in half])
+        y = ca.subspace([(-2, -1, 1, -2, -2, 0), (1, 2, 0, 0, 2, 0), (-2, 1, 1, 1, 0, 2)])
+        res = ca.is_anti_coproximinal(ball, y)
+        assert (res.status, res.smooth_dense) == ("yes", False)
+        assert res.rank < 6
+
     def test_dimension_bounds(self, linf3):
         with pytest.raises(ca.DimensionOutOfRange):
             ca.is_anti_coproximinal(linf3, ca.subspace([(1, 0, 0)]))
@@ -680,7 +696,10 @@ class TestGrowingSystemKeepsTheAnswers:
     copies below, run on the former two-phase simplex.  The witness is now the
     grown tableau's basic point, so on the custom balls, where a region need
     not be a single point, the solver may return another point of the same
-    region; that point is rechecked as a best coapproximation instead.
+    region; that point is rechecked as a best coapproximation instead.  The
+    anti search branches on violated facet classes rather than on pairs of
+    functionals and finds other witnesses, so only its verdict is compared
+    and each witness is rechecked.
     """
 
     def test_solver_matches_the_prefix_lps(self, prism, prism_flat, prism_tilted, prism_steep):
@@ -719,7 +738,7 @@ class TestGrowingSystemKeepsTheAnswers:
         assert outcomes == {True, False}
 
     @pytest.mark.filterwarnings("ignore:dropped .* non-extreme")
-    def test_anti_search_finds_the_same_witness(self, prism, prism_flat, linf3, narrow):
+    def test_anti_search_gives_the_same_verdict(self, prism, prism_flat, linf3, narrow):
         rng = seeded(277)
         # the rank-2 fixture, where the search ends in exhaustion
         verts = ((1, 1, 0), (1, -1, -1), (1, 0, 1), (0, 1, 1), (1, -1, 1))
@@ -739,12 +758,19 @@ class TestGrowingSystemKeepsTheAnswers:
             cases += [(space, ca.subspace(basis)) for basis in bases]
         reached = []
         for space, y in cases:
-            z = coapprox.coapproximation._coapproximable_direction(space, y)
-            assert z == _prefix_coapproximable_direction(space, y), (space.kind, y.basis)
+            z = _assert_same_verdict(space, y, _prefix_coapproximable_direction(space, y))
             jy = ca.induced_ball(space, y).jy
             if ca.rank(jy.functionals) < space.dim and not ca.smooth_dense_in(space, y):
                 reached.append(z is not None)
         assert reached[0] is False and reached.count(True) >= 10
+
+    @pytest.mark.filterwarnings("ignore:dropped .* non-extreme")
+    def test_anti_search_matches_the_pairwise_search_on_vertex_spans(self):
+        verdicts = []
+        for space, y in _vertex_spanned_questions(seeded(281), 150):
+            want = _pairwise_coapproximable_direction(space, y)
+            verdicts.append(_assert_same_verdict(space, y, want) is None)
+        assert set(verdicts) == {True, False}
 
 
 def _perfbench_gen():
@@ -805,6 +831,71 @@ def _prefix_coapproximable_direction(space, y):
         if z is not None:
             return z
     return None
+
+
+def _assert_same_verdict(space, y, want):
+    """The anti search's z, None exactly when ``want`` is; any other z is rechecked as a witness."""
+    z = coapprox.coapproximation._coapproximable_direction(space, y)
+    where = (space.vertices, y.basis)
+    assert (z is None) == (want is None), where
+    if z is not None:
+        assert ca.coordinates(y, z) is None, where
+        assert ca.is_best_coapprox(space, y, z, zeros(space.dim)), where
+    return z
+
+
+def _pairwise_coapproximable_direction(space, y):
+    """Reference: the former integer anti search, one pair (g-, g+) per facet class, depth first."""
+    _, functionals = space._functional_ints
+    classes = [
+        [functionals[i] for i in dual] for _, dual in ca.induced_ball(space, y)._facet_classes
+    ]
+    calls, cap = itertools.count(1), coapprox.coapproximation._ANTI_LP_CAP
+
+    def descend(parent, level):
+        for g_minus, g_plus in itertools.product(classes[level], repeat=2):
+            if next(calls) > cap:
+                raise ca.BudgetExceeded(cap, cap + 1)
+            grown = parent.copy()
+            if not (grown.add(g_minus, 0) and grown.add([-x for x in g_plus], 0)):
+                continue
+            z = grown.point() if level + 1 == len(classes) else descend(grown, level + 1)
+            if z is not None:
+                return z
+        return None
+
+    for w in ca.solve_linear(y.basis, zeros(y.dim)).nullspace:
+        root = coapprox.linalg._Growing(space.dim)
+        mult, (ints,) = coapprox.linalg._cleared([w])
+        root.add([-x for x in ints], -mult)
+        z = descend(root, 0)
+        if z is not None:
+            return z
+    return None
+
+
+def _vertex_spanned_questions(rng, count, dims=(3, 4, 5)):
+    """(space, Y) pairs that only the anti search decides: custom balls, Y spanned by ball vertices.
+
+    Each ball has n + 3 to n + 5 random vertices in [-2, 2]^n and their
+    negatives, Y is spanned by 2 to n - 1 of its extreme vertices, and a pair
+    is kept when J_Y has short rank and smooth points are not dense in Y.
+    """
+    questions = []
+    while len(questions) < count:
+        n = rng.choice(dims)
+        points = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n + 3, n + 5))]
+        if ca.rank(ca.mat(points)) < n:
+            continue
+        space = ca.make_custom(vertices=points + [neg(p) for p in points])
+        m = rng.randint(2, n - 1)
+        basis = rng.sample(space.vertices, m)
+        if ca.rank(basis) < m:
+            continue
+        y = ca.subspace(basis)
+        if ca.rank(ca.induced_ball(space, y).jy.functionals) < n and not ca.smooth_dense_in(space, y):
+            questions.append((space, y))
+    return questions
 
 
 def _fat_balls():
