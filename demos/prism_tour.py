@@ -27,8 +27,7 @@ def main():
     for g in prism.dual_extreme:
         print("   ", tuple(str(c) for c in g))
 
-    v = ca.v_rep(prism.vertices)
-    census = ca.face_census(v, ca.v_to_h(v))
+    census = ca.face_census(prism.vertices, prism.dual_extreme)
     show("face census (dim -> count)", census)
 
     print()

@@ -304,7 +304,9 @@ def _cmd_facets(req: Request) -> dict:
         "dim": space.dim,
         "vertices": space.vertices,
         "facets": space.dual_extreme,
-        "census": {str(d): c for d, c in sorted(face_census(space.vrep, space.hrep).items())},
+        "census": {
+            str(d): c for d, c in sorted(face_census(space.vertices, space.dual_extreme).items())
+        },
     }
 
 

@@ -147,10 +147,14 @@ def _reduce(rows: list, ncols: int) -> tuple[list[int], int]:
     those columns hold d times the reduced row echelon form; each pivot
     column holds the slack it swapped out.  Callers clear rational rows
     first (row scaling changes neither the row space nor the solutions);
-    any entry but an int is refused with TypeError.
+    any entry but an int is refused with TypeError, and rows of unequal
+    lengths with ValueError.
     """
     if not {int}.issuperset(type(x) for row in rows for x in row):
         raise TypeError("an eliminated row takes int entries only")
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise ValueError(f"eliminated rows have unequal lengths {sorted(lengths)}")
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):

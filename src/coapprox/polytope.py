@@ -1,13 +1,15 @@
-"""Exact V- and H-representations of origin-symmetric full-dimensional polytopes.
+"""Exact vertex and facet lists of origin-symmetric full-dimensional polytopes.
 
-The single geometric primitive is ``conv_facets``: given points spanning the
-space with the origin interior to their hull, it returns the irredundant facet
-functionals f of the hull, normalized as {x : <f, x> <= 1}.  Both conversion
-directions reduce to it through bipolar polarity: the vertices of
-{x : <f, x> <= 1 for all f in H} are exactly the facet functionals of conv(H).
-A ball gets both representations from one such call: one integer pass marks
-the input points on each facet, and ``extreme_subset`` keeps a point when the
-facets through it meet in that point alone.
+A polytope is two plain tuples of rational vectors: its vertices, and its
+facet functionals f of {x : <f, x> <= 1}.  The single geometric primitive is
+``conv_facets``: given points spanning the space with the origin interior to
+their hull, it returns the irredundant facet functionals f of the hull,
+normalized as {x : <f, x> <= 1}.  Both conversion directions reduce to it
+through bipolar polarity: the vertices of {x : <f, x> <= 1 for all f in H}
+are exactly the facet functionals of conv(H).
+A ball gets both lists from one such call: one integer pass marks the input
+points on each facet, and ``extreme_subset`` keeps a point when the facets
+through it meet in that point alone.
 
 ``conv_facets`` homogenizes to the cone {(f, t) : <s, f> <= t, t >= 0} and
 enumerates its extreme rays by the double description method: start from a
@@ -17,9 +19,9 @@ each new hyperplane.  As in Fukuda & Prodon, rays are primitive integer tuples
 that carry their zero sets as bitmasks; a pair is adjacent when its meet has
 popcount >= d-1 and no third ray's mask contains it.  All arithmetic is exact.
 The points are cleared to integers by one common multiplier, deduplicated and
-the facets sorted there; Fractions are made once, for the returned facets and
-for ``VRep``/``HRep``, whose checks (deduplication, symmetry, rank, order of the
-kept entries) also run on the cleared rows.
+the facets sorted there; Fractions are made once, for the returned facets.
+The checks of a ball's given list (deduplication, symmetry, rank, order of
+the kept entries) also run on the cleared rows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DegenerateInput, Discrepancy, UnboundedInput
+from .errors import DegenerateInput, UnboundedInput
 from .linalg import (
     Vector,
     _cleared,
@@ -39,22 +41,6 @@ from .linalg import (
     rank,
     vec,
 )
-
-
-@dataclass(frozen=True)
-class VRep:
-    """Vertex description of a polytope; every listed point is a vertex."""
-
-    vertices: tuple[Vector, ...]
-    dim: int
-
-
-@dataclass(frozen=True)
-class HRep:
-    """Facet description {x : <f, x> <= 1 for all f}; irredundant."""
-
-    facets: tuple[Vector, ...]
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -141,6 +127,11 @@ def conv_facets(points) -> tuple[Vector, ...]:
     if not ints:
         raise DegenerateInput("empty point set")
     d = len(ints[0])
+    # a ragged point set would be cut to its shortest vector by the
+    # transposition that picks the start cone
+    lengths = {len(p) for p in ints}
+    if len(lengths) > 1:
+        raise ValueError(f"points have unequal lengths {sorted(lengths)}")
     # the rows (-p, 1) and (0, 1), times the common multiplier
     rows = [[-x for x in p] + [mult] for p in dict.fromkeys(map(tuple, ints))]
     rows.append([0] * d + [1])
@@ -159,15 +150,22 @@ def _incidences(facets, points) -> list[int]:
 
     Facets and points are cleared to integers once each, by multipliers fm
     and pm, so point i is on facet f exactly when the integer dot product
-    equals fm * pm.
+    equals fm * pm.  Vectors of unequal lengths, or a point outside a facet,
+    mean the two lists describe different polytopes: ValueError.
     """
     fm, frows = _cleared(facets)
     pm, prows = _cleared(points)
+    lengths = {len(row) for row in frows + prows}
+    if len(lengths) > 1:
+        raise ValueError(f"facets and points have unequal lengths {sorted(lengths)}")
     one = fm * pm
-    return [
-        sum(1 << i for i, p in enumerate(prows) if sum(map(mul, f, p)) == one)
-        for f in frows
-    ]
+    masks = []
+    for f in frows:
+        values = [sum(map(mul, f, p)) for p in prows]
+        if any(value > one for value in values):
+            raise ValueError("a point lies outside a facet: the lists describe two polytopes")
+        masks.append(sum(1 << i for i, value in enumerate(values) if value == one))
+    return masks
 
 
 def extreme_subset(
@@ -196,13 +194,13 @@ def extreme_subset(
     return tuple(keep), tuple(tight)
 
 
-def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
-    """Both representations of an origin-symmetric ball given by one of them.
+def symmetric_ball(raw, *, kind: str) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """(vertices, facets) of an origin-symmetric ball given by one of the two lists.
 
     ``kind`` is "vertex" when ``raw`` lists points and "facet" when it lists
     functionals.  The input is deduplicated, checked to span and to be
     symmetric, and stripped of non-extreme entries (with a warning); the
-    other representation comes from the same conversion pass.
+    other list comes from the same conversion pass.
     """
     points = [vec(p) for p in raw]
     if not points:
@@ -230,51 +228,37 @@ def symmetric_ball(raw, *, kind: str) -> tuple[VRep, HRep]:
         )
     keep = tuple(pts[i] for i in sorted(keep, key=rows.__getitem__))
     if kind == "vertex":
-        return VRep(vertices=keep, dim=d), HRep(facets=hull, dim=d)
-    return VRep(vertices=hull, dim=d), HRep(facets=keep, dim=d)
+        return keep, hull
+    return hull, keep
 
 
-def v_rep(points) -> VRep:
-    """Build a VRep, deduplicating and dropping non-vertex points (with a warning)."""
-    return symmetric_ball(points, kind="vertex")[0]
+def v_to_h(vertices) -> tuple[Vector, ...]:
+    """Irredundant facet functionals of conv(vertices)."""
+    return conv_facets(vertices)
 
 
-def h_rep(functionals) -> HRep:
-    """Build an HRep, deduplicating and dropping redundant rows (with a warning).
-
-    A row is redundant exactly when it is not an extreme point of the convex
-    hull of all rows, by bipolar duality.
-    """
-    return symmetric_ball(functionals, kind="facet")[1]
-
-
-def v_to_h(v: VRep) -> HRep:
-    """Irredundant facet description of conv(V)."""
-    if rank(v.vertices) < v.dim:
-        raise DegenerateInput("vertex set does not span the space")
-    return HRep(facets=conv_facets(v.vertices), dim=v.dim)
-
-
-def h_to_v(h: HRep) -> VRep:
-    """Vertices of the polytope {x : <f, x> <= 1 for all f in H}."""
-    if rank(h.facets) < h.dim:
+def h_to_v(facets) -> tuple[Vector, ...]:
+    """Vertices of {x : <f, x> <= 1 for all f}: by polarity, the facets of conv(facets)."""
+    if not facets or rank(facets) < len(facets[0]):
         raise UnboundedInput("facet normals do not span the space")
-    return VRep(vertices=conv_facets(h.facets), dim=h.dim)
+    return conv_facets(facets)
 
 
-def enumerate_faces(v: VRep, h: HRep) -> tuple[FaceDescriptor, ...]:
-    """All nonempty proper faces of the polytope described by (v, h).
+def enumerate_faces(vertices, facets) -> tuple[FaceDescriptor, ...]:
+    """All nonempty proper faces of the polytope with these vertices and facets.
 
-    Every proper face is an intersection of facets and faces are induced by
-    their vertex sets, so closing the facet vertex sets under pairwise
-    intersection enumerates them all.
+    The two lists must describe one polytope: ValueError when they differ in
+    length, a vertex lies outside a facet or a facet holds no vertex.  Every
+    proper face is an intersection of facets and faces are induced by their
+    vertex sets, so closing the facet vertex sets under pairwise intersection
+    enumerates them all.
     """
     facet_sets = [
-        frozenset(i for i in range(len(v.vertices)) if mask >> i & 1)
-        for mask in _incidences(h.facets, v.vertices)
+        frozenset(i for i in range(len(vertices)) if mask >> i & 1)
+        for mask in _incidences(facets, vertices)
     ]
     if not all(facet_sets):
-        raise Discrepancy("every facet must contain at least one vertex")
+        raise ValueError("a facet holds no vertex: the lists describe two polytopes")
     all_sets: set[frozenset[int]] = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:
@@ -289,29 +273,25 @@ def enumerate_faces(v: VRep, h: HRep) -> tuple[FaceDescriptor, ...]:
 
     faces = []
     for vertset in all_sets:
-        pts = [v.vertices[i] for i in vertset]
+        pts = [vertices[i] for i in vertset]
         faces.append(FaceDescriptor(vertices=vertset, dim=max(affine_rank(pts), 0)))
     faces.sort(key=lambda f: (f.dim, sorted(f.vertices)))
     return tuple(faces)
 
 
-def face_census(v: VRep, h: HRep) -> dict[int, int]:
+def face_census(vertices, facets) -> dict[int, int]:
     """Count faces by dimension (vertices, edges, ..., facets)."""
     census: dict[int, int] = {}
-    for face in enumerate_faces(v, h):
+    for face in enumerate_faces(vertices, facets):
         census[face.dim] = census.get(face.dim, 0) + 1
     return census
 
 
 __all__ = [
     "FaceDescriptor",
-    "HRep",
-    "VRep",
     "conv_facets",
     "enumerate_faces",
     "face_census",
-    "h_rep",
     "h_to_v",
-    "v_rep",
     "v_to_h",
 ]

@@ -1,15 +1,16 @@
 """Polyhedral Banach spaces on Q^n.
 
 A space is a norm whose unit ball is an origin-symmetric full-dimensional
-polytope, kept in both representations.  ``dual_extreme`` stores the H-rep
-facet functionals verbatim: an irredundant description {x : <g, x> <= 1} makes
-every g attain maximum exactly 1 on the ball, so these are precisely the
-extreme points of the dual unit ball, already scaled to dual norm one.
+polytope, kept as two plain tuples of vectors: ``vertices``, and in
+``dual_extreme`` the facet functionals verbatim.  An irredundant description
+{x : <g, x> <= 1} makes every g attain maximum exactly 1 on the ball, so these
+are precisely the extreme points of the dual unit ball, already scaled to
+dual norm one.
 
 Builders cover the sup-norm cube and the 1-norm cross-polytope, its polar
 (the cube's two lists swapped), once per n, and custom balls from either
-representation.  Every verdict reads the extreme functionals at a point in
-one integer pass over rows each space clears once.
+list.  Every verdict reads the extreme functionals at a point in one integer
+pass over rows each space clears once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import mul
 
 from .errors import SpaceTooLarge, ZeroVector
 from .linalg import Vector, _cleared, canonical_sorted, is_zero, unit, vec
-from .polytope import HRep, VRep, symmetric_ball
+from .polytope import symmetric_ball
 
 _EAGER_LIMIT = 12  # builders refuse above this: 2^n extreme objects
 
@@ -58,14 +59,6 @@ class PolyhedralSpace:
     def _vertex_ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         mult, rows = _cleared(self.vertices)
         return mult, tuple(map(tuple, rows))
-
-    @property
-    def vrep(self) -> VRep:
-        return VRep(vertices=self.vertices, dim=self.dim)
-
-    @property
-    def hrep(self) -> HRep:
-        return HRep(facets=self.dual_extreme, dim=self.dim)
 
 
 @dataclass(frozen=True)
@@ -109,16 +102,16 @@ def make_l1(n: int) -> PolyhedralSpace:
 def make_custom(vertices=None, facets=None) -> PolyhedralSpace:
     """Space from an explicit ball: exactly one of vertices/facets.
 
-    The given representation is validated (deduplication, redundancy
-    filtering, symmetry); the same conversion pass yields the other one.
+    The given list is validated (deduplication, redundancy filtering,
+    symmetry); the same conversion pass yields the other one.
     """
     if (vertices is None) == (facets is None):
         raise ValueError("give exactly one of vertices= or facets=")
     if vertices is not None:
-        v, h = symmetric_ball(vertices, kind="vertex")
+        verts, duals = symmetric_ball(vertices, kind="vertex")
     else:
-        v, h = symmetric_ball(facets, kind="facet")
-    return PolyhedralSpace(kind="custom", dim=v.dim, vertices=v.vertices, dual_extreme=h.facets)
+        verts, duals = symmetric_ball(facets, kind="facet")
+    return PolyhedralSpace(kind="custom", dim=len(verts[0]), vertices=verts, dual_extreme=duals)
 
 
 def _values(space: PolyhedralSpace, x: Vector) -> tuple[int, list[int]]:

@@ -53,7 +53,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .polytope import FaceDescriptor, HRep, VRep, conv_facets, enumerate_faces, extreme_subset
+from .polytope import FaceDescriptor, conv_facets, enumerate_faces, extreme_subset
 from .spaces import PolyhedralSpace, _checked
 
 
@@ -172,8 +172,6 @@ class InducedBall:
     facet-centroid witnesses.
     """
 
-    space: PolyhedralSpace
-    subspace: Subspace
     vertices: tuple[Vector, ...]
     facet_rows: tuple[Vector, ...]
     facet_dual: tuple[tuple[int, ...], ...]
@@ -202,12 +200,9 @@ class InducedBall:
     @cached_property
     def faces(self) -> tuple[FaceData, ...]:
         """All proper faces of B_Y with their dual faces (computed lazily)."""
-        m = len(self.subspace.basis)
-        v = VRep(vertices=self.vertices, dim=m)
-        h = HRep(facets=self.facet_rows, dim=m)
         normers = [frozenset(dual) for dual in self.vertex_dual]
         out = []
-        for face in enumerate_faces(v, h):
+        for face in enumerate_faces(self.vertices, self.facet_rows):
             dual: frozenset[int] | None = None
             for vi in face.vertices:
                 dual = normers[vi] if dual is None else dual & normers[vi]
@@ -257,8 +252,6 @@ def induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall:
             ambient = [sum(map(mul, total, col)) for col in zip(*basis)]
             found[dual[0]] = tuple(Fraction(t, len(on_facet) * bm * pm) for t in ambient)
     return InducedBall(
-        space=space,
-        subspace=y,
         vertices=vertices,
         facet_rows=facet_rows,
         facet_dual=facet_dual,

@@ -292,15 +292,15 @@ def test_polytope_layer():
     from coapprox.linalg import canonical_sorted
 
     for vertices in (
-        ca.h_to_v(ca.h_rep(CUBE_FACETS)).vertices,
+        ca.h_to_v(ca.make_custom(facets=CUBE_FACETS).dual_extreme),
         tuple(ca.vec(p) for p in OCTAHEDRON),
         tuple(prism_vertices()),
     ):
-        v = ca.v_rep(vertices)
+        v = ca.make_custom(vertices=vertices).vertices
         back = ca.h_to_v(ca.v_to_h(v))
-        assert canonical_sorted(back.vertices) == canonical_sorted(v.vertices)
+        assert canonical_sorted(back) == canonical_sorted(v)
 
-    v = ca.v_rep(prism_vertices())
+    v = ca.make_custom(vertices=prism_vertices()).vertices
     census = ca.face_census(v, ca.v_to_h(v))
     assert census == {0: 12, 1: 18, 2: 8}
     assert census[0] - census[1] + census[2] == 2

@@ -109,6 +109,21 @@ class TestRank:
             assert ca.rank(m) == ca.rank(ca.mat(rows[::-1]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ca.rank([(1, 0), (0, 1, 1)]),
+        lambda: ca.solve_linear([(1, 0), (0, 1, 1)], (1, 1)),
+        # zip in the start-cone transposition would cut the long point to (1, 1)
+        lambda: ca.conv_facets([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1, 1)]),
+    ],
+    ids=["rank", "solve_linear", "conv_facets"],
+)
+def test_ragged_rows_are_refused(call):
+    with pytest.raises(ValueError, match="unequal lengths"):
+        call()
+
+
 class TestSolveLinear:
     def test_unique(self):
         sol = ca.solve_linear(ca.mat([(1, 1), (1, -1)]), ca.vec((2, 0)))

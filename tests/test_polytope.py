@@ -27,6 +27,7 @@ from conftest import independent_basis, prism_vertices, rational_point, seeded
 F = Fraction
 
 SQUARE = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+DIAMOND = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 CUBE_FACETS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -121,23 +122,25 @@ def test_flat_input_rejected():
 
 def test_unbounded_h_rep_rejected():
     with pytest.raises(ca.UnboundedInput):
-        ca.h_to_v(ca.h_rep([(1, 0)]))
+        ca.make_custom(facets=[(1, 0)])
+    with pytest.raises(ca.UnboundedInput):
+        ca.h_to_v([(1, 0), (-1, 0)])
 
 
 class TestRoundTrips:
     def roundtrip(self, vertices):
-        v = ca.v_rep(vertices)
+        v = ca.make_custom(vertices=vertices).vertices
         h = ca.v_to_h(v)
         back = ca.h_to_v(h)
-        assert canonical_sorted(back.vertices) == canonical_sorted(v.vertices)
+        assert canonical_sorted(back) == canonical_sorted(v)
         # every vertex saturates at least dim facets and violates none
-        for x in v.vertices:
-            tight = sum(1 for g in h.facets if dot(g, x) == 1)
-            assert tight >= v.dim
-            assert all(dot(g, x) <= 1 for g in h.facets)
+        for x in v:
+            tight = sum(1 for g in h if dot(g, x) == 1)
+            assert tight >= len(x)
+            assert all(dot(g, x) <= 1 for g in h)
 
     def test_cube(self):
-        self.roundtrip(ca.h_to_v(ca.h_rep(CUBE_FACETS)).vertices)
+        self.roundtrip(ca.h_to_v(ca.make_custom(facets=CUBE_FACETS).dual_extreme))
 
     def test_cross_polytope(self):
         self.roundtrip(OCTAHEDRON)
@@ -146,9 +149,9 @@ class TestRoundTrips:
         self.roundtrip(prism_vertices())
 
     def test_cube_h_to_v(self):
-        v = ca.h_to_v(ca.h_rep(CUBE_FACETS))
-        assert len(v.vertices) == 8
-        assert set(v.vertices) == {
+        v = ca.h_to_v(ca.make_custom(facets=CUBE_FACETS).dual_extreme)
+        assert len(v) == 8
+        assert set(v) == {
             tuple(F(s) for s in signs)
             for signs in [
                 (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -157,14 +160,27 @@ class TestRoundTrips:
         }
 
 
+def test_face_lattice_of_two_polytopes_is_refused():
+    octahedron_facets = ca.v_to_h(OCTAHEDRON)
+    # the cube's vertices lie outside the octahedron's facets; unchecked, the
+    # pair has the census {0: 8, 1: 12, 2: 8} of neither polytope
+    with pytest.raises(ValueError, match="outside a facet"):
+        ca.face_census(ca.h_to_v(CUBE_FACETS), octahedron_facets)
+    with pytest.raises(ValueError, match="unequal lengths"):
+        ca.enumerate_faces(ca.make_custom(vertices=DIAMOND).vertices, octahedron_facets)
+    # the facets of [-2, 2]^2 hold none of the unit square's vertices
+    with pytest.raises(ValueError, match="holds no vertex"):
+        ca.face_census(SQUARE, ca.v_to_h([(2 * a, 2 * b) for a, b in SQUARE]))
+
+
 class TestFaceLattice:
     def census(self, vertices):
-        v = ca.v_rep(vertices)
+        v = ca.make_custom(vertices=vertices).vertices
         h = ca.v_to_h(v)
         return ca.face_census(v, h), v, h
 
     def test_cube_census(self):
-        census, _, _ = self.census(ca.h_to_v(ca.h_rep(CUBE_FACETS)).vertices)
+        census, _, _ = self.census(ca.h_to_v(ca.make_custom(facets=CUBE_FACETS).dual_extreme))
         assert census == {0: 8, 1: 12, 2: 6}
 
     def test_octahedron_census(self):
@@ -181,10 +197,10 @@ class TestFaceLattice:
         _, v, h = self.census(prism_vertices())
         faces = ca.enumerate_faces(v, h)
         assert all(face.vertices for face in faces)
-        assert all(0 <= face.dim < v.dim for face in faces)
+        assert all(0 <= face.dim < len(v[0]) for face in faces)
         # facet list and top-dimensional faces agree in number
-        top = [f for f in faces if f.dim == v.dim - 1]
-        assert len(top) == len(h.facets)
+        top = [f for f in faces if f.dim == len(v[0]) - 1]
+        assert len(top) == len(h)
 
     def test_face_vertex_sets_are_distinct(self):
         _, v, h = self.census(prism_vertices())

@@ -128,8 +128,8 @@ class TestInducedBall:
             # vertices) is the oracle for the single conversion pass
             rows = (ca.restrict(y, g) for g in sp.dual_extreme)
             distinct = tuple(r for r in dict.fromkeys(rows) if any(r))
-            assert ball.vertices == ca.h_to_v(ca.HRep(distinct, m)).vertices
-            assert ball.facet_rows == ca.v_to_h(ca.VRep(ball.vertices, m)).facets
+            assert ball.vertices == ca.h_to_v(distinct)
+            assert ball.facet_rows == ca.v_to_h(ball.vertices)
 
     def test_one_conversion_pass_per_ball(self, monkeypatch):
         calls = []
@@ -405,8 +405,6 @@ def _three_pass_induced_ball(space: PolyhedralSpace, y: Subspace) -> InducedBall
             total = [sum(col) for col in zip(*(ambient[v] for v in tight[k]))]
             found[dual[0]] = tuple(Fraction(t, len(tight[k]) * bm * pm) for t in total)
     return InducedBall(
-        space=space,
-        subspace=y,
         vertices=vertices,
         facet_rows=facet_rows,
         facet_dual=facet_dual,
